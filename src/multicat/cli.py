@@ -11,6 +11,7 @@ errors, 1 runtime failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -45,7 +46,6 @@ class RunConfig:
     qrange: Optional[Tuple[float, float, int]] = None
     prange: Optional[Tuple[float, float, int]] = None
     nmax: Optional[int] = None
-    tol: float = 1e-12
     points: int = 4001
     domain: Optional[Tuple[float, float]] = None
     gamma: float = 2.0
@@ -59,8 +59,10 @@ def _parse_range(text: str) -> Tuple[float, float, int]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed range {text!r}")
-    if not lo < hi or count < 2:
-        raise argparse.ArgumentTypeError(f"range must satisfy min < max, count >= 2: {text!r}")
+    if not -math.inf < lo < hi < math.inf or count < 2:
+        raise argparse.ArgumentTypeError(
+            f"range must be finite with min < max, count >= 2: {text!r}"
+        )
     return lo, hi, count
 
 
@@ -72,8 +74,8 @@ def _parse_domain(text: str) -> Tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed domain {text!r}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"domain must satisfy min < max: {text!r}")
+    if not -math.inf < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(f"domain must be finite with min < max: {text!r}")
     return lo, hi
 
 
@@ -121,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prange", type=_parse_range, default=None, metavar="MIN:MAX:COUNT")
         p.add_argument("--nmax", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=1e-12, help="solver residual tolerance")
         p.add_argument("--points", type=int, default=4001, help="solver grid points")
         p.add_argument("--domain", type=_parse_domain, default=None, metavar="MIN:MAX")
         p.add_argument("--gamma", type=float, default=2.0, help="well shape parameter")
@@ -160,8 +161,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         parser.error("--nmax must be nonnegative")
     if ns.points < 3 or ns.points % 2 == 0:
         parser.error("--points must be an odd integer >= 3")
-    if ns.tol <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < ns.gamma < math.inf:
+        parser.error("--gamma must be positive and finite")
 
     return RunConfig(
         command=ns.command,
@@ -170,7 +171,6 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         qrange=ns.qrange,
         prange=ns.prange,
         nmax=ns.nmax,
-        tol=ns.tol,
         points=ns.points,
         domain=ns.domain,
         gamma=ns.gamma,
@@ -255,21 +255,13 @@ def _emit_envelope(cfg: RunConfig) -> List[Path]:
     return [path]
 
 
-def _solver_cfg(cfg: RunConfig, spec: wellsolver.WellPotentialSpec) -> wellsolver.SolverConfig:
-    base = wellsolver.default_solver_config(spec, points=cfg.points)
-    domain = cfg.domain if cfg.domain is not None else base.domain
-    return wellsolver.SolverConfig(domain=domain, points=cfg.points, tol=cfg.tol)
-
-
 def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[Path]:
-    well_spec = wellsolver.calibrate_wells(cfg.spec, gamma=cfg.gamma, points=cfg.points)
-    solver_cfg = _solver_cfg(cfg, well_spec)
-    xs = solver_cfg.xs()
-    h = wellsolver.build_hamiltonian(
-        wellsolver.potential(well_spec, xs), float(xs[1] - xs[0])
-    )
-    psi = wellsolver.ground_state(h, solver_cfg)
-    fid = wellsolver.fidelity(psi, cfg.spec)
+    if cfg.domain is None:
+        solver_cfg = wellsolver.default_solver_config(cfg.spec, points=cfg.points)
+    else:
+        solver_cfg = wellsolver.SolverConfig(domain=cfg.domain, points=cfg.points)
+    well_spec, psi, fid = wellsolver.solve_well(cfg.spec, gamma=cfg.gamma, cfg=solver_cfg)
+    xs = psi.xs
     peaks = psi.density_peaks()
 
     paths: List[Path] = []

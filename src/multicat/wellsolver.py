@@ -10,17 +10,21 @@ discretized with the three-point stencil (hbar = m = 1, Dirichlet ends)
     H[i, i]   = 1/dx^2 + V_i,
     H[i, i+1] = H[i+1, i] = -1/(2 dx^2),
 
-and solved for the ground state by shifted inverse iteration with
-Rayleigh-quotient acceleration.  The tridiagonal solves are two-sweep
-eliminations (Thomas algorithm); the shift starts below the spectrum so
-the shifted matrix stays positive definite.
+and solved for its lowest eigenpair by LAPACK (``dstebz``/``dstein``
+through ``scipy.linalg.eigh_tridiagonal``).  A reflection-symmetric H is
+solved on one half of the grid in the requested parity sector: the even
+sector keeps the centre row and scales its coupling by sqrt(2), the odd
+sector drops it (psi(0) = 0).  A solution that has not decayed to 1e-10 of
+its peak at both grid ends is refused (ValueError), as in
+``wigner.wigner_numeric``.
 
 ``calibrate_wells`` picks well parameters for a target superposition:
 the local curvature V0 * gamma / sigma^2 is pinned so each well's ground
 mode has roughly the coherent-state position width, and the depths of
 the inner pair of wells are trimmed until the inner and outer well
 structures are degenerate, which keeps the ground state from localizing
-in whichever wells sit deeper due to neighbouring tails.
+in whichever wells sit deeper due to neighbouring tails.  Odd targets are
+calibrated and solved in the odd sector.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .states import SuperpositionSpec, position_wavefunction
 
@@ -79,14 +85,14 @@ class WellPotentialSpec:
         object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
         if not self.centers:
             raise ValueError("at least one well centre is required")
-        if self.v0 <= 0 or self.gamma <= 0 or self.sigma <= 0:
-            raise ValueError("v0, gamma and sigma must be positive")
+        if not all(0 < x < math.inf for x in (self.v0, self.gamma, self.sigma)):
+            raise ValueError("v0, gamma and sigma must be positive and finite")
         if self.depth_scales is not None:
             scales = tuple(float(s) for s in self.depth_scales)
             if len(scales) != len(self.centers):
                 raise ValueError("depth_scales must match centers")
-            if any(s <= 0 for s in scales):
-                raise ValueError("depth_scales must be positive")
+            if not all(0 < s < math.inf for s in scales):
+                raise ValueError("depth_scales must be positive and finite")
             object.__setattr__(self, "depth_scales", scales)
 
     @property
@@ -98,14 +104,10 @@ class WellPotentialSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Domain, resolution and iteration controls for the eigensolver."""
+    """Domain and resolution of the eigensolver's grid."""
 
     domain: Tuple[float, float]
     points: int = 4001
-    shift: Optional[float] = None
-    tol: float = 1e-12
-    max_iter: int = 200
-    enforce_even_parity: Optional[bool] = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -184,10 +186,6 @@ class TridiagonalOperator:
         out[1:] += self.off * v[:-1]
         return out
 
-    def norm_bound(self) -> float:
-        """Infinity-norm bound used to scale convergence thresholds."""
-        return float(np.max(np.abs(self.diag)) + 2.0 * np.max(np.abs(self.off)))
-
 
 def build_hamiltonian(v_samples: np.ndarray, dx: float) -> TridiagonalOperator:
     """Three-point discretization of -1/2 d^2/dx^2 + V with Dirichlet ends."""
@@ -202,34 +200,6 @@ def build_hamiltonian(v_samples: np.ndarray, dx: float) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, off=off)
 
 
-class _SingularShift(Exception):
-    pass
-
-
-def _thomas_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Two-sweep elimination for a symmetric tridiagonal system."""
-    n = diag.size
-    d = diag.copy()
-    b = rhs.copy()
-    tiny = 1e-300
-    for i in range(1, n):
-        piv = d[i - 1]
-        if abs(piv) < tiny:
-            raise _SingularShift
-        w = off[i - 1] / piv
-        d[i] -= w * off[i - 1]
-        b[i] -= w * b[i - 1]
-    if abs(d[n - 1]) < tiny:
-        raise _SingularShift
-    x = np.empty(n)
-    x[n - 1] = b[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
-    if not np.all(np.isfinite(x)):
-        raise _SingularShift
-    return x
-
-
 def _is_symmetric_operator(h: TridiagonalOperator, rtol: float = 1e-9) -> bool:
     d, e = h.diag, h.off
     scale = max(1.0, float(np.max(np.abs(d))))
@@ -239,86 +209,64 @@ def _is_symmetric_operator(h: TridiagonalOperator, rtol: float = 1e-9) -> bool:
     )
 
 
-def ground_state(
-    h: TridiagonalOperator,
-    cfg: SolverConfig,
-    initial: Optional[np.ndarray] = None,
-) -> DiscretizedWavefunction:
-    """Lowest eigenpair of ``h`` by Rayleigh-accelerated inverse iteration.
+#: Largest |psi| allowed at either grid end, relative to max |psi|; the same
+#: rule ``wigner.wigner_numeric`` applies to its input.
+BOUNDARY_DECAY = 1e-10
 
-    The shift starts below min(diag) - 2|off| (hence below the spectrum) and
-    is replaced by the Rayleigh quotient, pulled back by the current
-    residual, after three iterations.  When the operator commutes with the
-    grid reflection the iterate is projected onto the even subspace, which
-    pins the parity even through near-degenerate tunneling doublets.
-    A singular shifted solve triggers a bounded deterministic re-shift.
+
+def ground_state(
+    h: TridiagonalOperator, cfg: SolverConfig, odd: bool = False
+) -> DiscretizedWavefunction:
+    """Lowest eigenpair of ``h``, or of its odd sector when ``odd``, by LAPACK.
+
+    A reflection-symmetric ``h`` is folded onto the half grid x >= 0 about
+    the centre index m, so the solve cannot mix the parities of a
+    near-degenerate tunnelling doublet.  The even sector takes rows m, m+1,
+    ... with the first coupling scaled by sqrt(2), and its solution's first
+    component is scaled back by sqrt(2); the odd sector takes rows m+1, ...
+    (psi(0) = 0).  The half solution is mirrored with the sector's sign and
+    made positive in sum over the solved half.  An asymmetric ``h`` is
+    solved on the full grid and has no odd sector (ValueError).  A solution
+    that has not decayed to BOUNDARY_DECAY of its peak at either grid end
+    raises ValueError: the domain cuts the state off.  The result records
+    one iteration (one LAPACK call) and its full-grid residual.
     """
     n = h.size
     if n != cfg.points:
         raise ValueError("operator size does not match solver grid")
     xs = cfg.xs()
     dx = float(xs[1] - xs[0])
-    symmetric = (
-        cfg.enforce_even_parity
-        if cfg.enforce_even_parity is not None
-        else _is_symmetric_operator(h)
-    )
+    symmetric = _is_symmetric_operator(h)
+    if odd and not symmetric:
+        raise ValueError("the odd sector needs a reflection-symmetric operator")
 
-    if initial is not None:
-        v = np.asarray(initial, dtype=float).copy()
-    else:
-        width = 0.25 * (cfg.domain[1] - cfg.domain[0])
-        v = np.exp(-((xs / width) ** 2))
+    d, e = h.diag, h.off
     if symmetric:
-        v = 0.5 * (v + v[::-1])
-    v /= math.sqrt(float(v @ v) * dx)
-
-    scale = h.norm_bound()
-    lower = float(np.min(h.diag)) - 2.0 * float(np.max(np.abs(h.off)))
-    shift = cfg.shift if cfg.shift is not None else lower - 1.0
-
-    energy = float((v @ h.matvec(v)) * dx) / float((v @ v) * dx)
-    resid = float("inf")
-    prev_energy = math.inf
-    tol_abs = cfg.tol * scale
-    reshifts = 0
-    for iteration in range(1, cfg.max_iter + 1):
-        try:
-            w = _thomas_solve(h.diag - shift, h.off, v)
-        except _SingularShift:
-            reshifts += 1
-            if reshifts > 8:
-                raise RuntimeError(
-                    f"inverse iteration: repeated singular shifts near {shift:.6g}"
-                )
-            shift -= (2.0**reshifts) * 64.0 * np.finfo(float).eps * scale
-            continue
-        if symmetric:
-            w = 0.5 * (w + w[::-1])
-        norm = math.sqrt(float(w @ w) * dx)
-        if norm == 0.0 or not math.isfinite(norm):
-            raise RuntimeError("inverse iteration produced a degenerate iterate")
-        v = w / norm
-        hv = h.matvec(v)
-        energy = float((v @ hv) * dx)
-        resid = math.sqrt(float(np.sum((hv - energy * v) ** 2)) * dx)
-        stagnant = abs(energy - prev_energy) <= cfg.tol * max(1.0, abs(energy))
-        if resid <= tol_abs and (stagnant or resid <= 64.0 * np.finfo(float).eps * scale):
-            break
-        prev_energy = energy
-        if iteration >= 3:
-            shift = energy - max(resid, 64.0 * np.finfo(float).eps * scale)
+        start = n // 2 + (1 if odd else 0)
+        d, e = d[start:], e[start:].copy()
+        if not odd:
+            e[0] *= math.sqrt(2.0)
+    energies, vectors = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    energy, u = float(energies[0]), vectors[:, 0]
+    if float(np.sum(u)) < 0.0:
+        u = -u
+    if symmetric and odd:
+        v = np.concatenate((-u[::-1], [0.0], u))
+    elif symmetric:
+        u[0] *= math.sqrt(2.0)
+        v = np.concatenate((u[:0:-1], u))
     else:
-        raise RuntimeError(
-            f"inverse iteration did not converge in {cfg.max_iter} iterations;"
-            f" last residual {resid:.3e}"
-        )
+        v = u
+    v = v / math.sqrt(float(v @ v) * dx)
 
-    # Sign convention: positive mean amplitude.
-    if float(np.sum(v)) < 0.0:
-        v = -v
+    if max(abs(v[0]), abs(v[-1])) > BOUNDARY_DECAY * float(np.max(np.abs(v))):
+        raise ValueError(
+            "domain too small: the solution has not decayed at the boundary"
+            f" [{cfg.domain[0]:g}, {cfg.domain[1]:g}]"
+        )
+    resid = math.sqrt(float(np.sum((h.matvec(v) - energy * v) ** 2)) * dx)
     return DiscretizedWavefunction(
-        xs=xs, values=v, energy=energy, iterations=iteration, residual=resid
+        xs=xs, values=v, energy=energy, iterations=1, residual=resid
     )
 
 
@@ -329,18 +277,18 @@ def ground_state(
 DOMAIN_MARGIN = 15.0
 
 
-def default_solver_config(spec: WellPotentialSpec, points: int = 4001) -> SolverConfig:
-    """Symmetric domain with enough margin for the exponential tails to die."""
-    half = max(abs(c) for c in spec.centers) + DOMAIN_MARGIN
+def default_solver_config(target: SuperpositionSpec, points: int = 4001) -> SolverConfig:
+    """Symmetric domain around the target's wells, margin enough for the tails to die."""
+    half = target.max_amplitude + DOMAIN_MARGIN
     return SolverConfig(domain=(-half, half), points=points)
 
 
 def _solve_potential(
-    spec: WellPotentialSpec, cfg: SolverConfig
+    spec: WellPotentialSpec, cfg: SolverConfig, odd: bool
 ) -> DiscretizedWavefunction:
     xs = cfg.xs()
     h = build_hamiltonian(potential(spec, xs), float(xs[1] - xs[0]))
-    return ground_state(h, cfg)
+    return ground_state(h, cfg, odd)
 
 
 def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
@@ -365,14 +313,14 @@ def _group_indices(centers: Sequence[float]) -> Tuple[Tuple[int, ...], Tuple[int
 
 
 def _subgroup_energy(
-    spec: WellPotentialSpec, idx: Tuple[int, ...], cfg: SolverConfig
+    spec: WellPotentialSpec, idx: Tuple[int, ...], cfg: SolverConfig, odd: bool
 ) -> float:
     sub = replace(
         spec,
         centers=tuple(spec.centers[i] for i in idx),
         depth_scales=tuple(spec.scales[i] for i in idx),
     )
-    return _solve_potential(sub, cfg).energy
+    return _solve_potential(sub, cfg, odd).energy
 
 
 def _with_inner_scale(
@@ -387,7 +335,7 @@ def _with_inner_scale(
 def calibrate_wells(
     target: SuperpositionSpec,
     gamma: float = 2.0,
-    points: int = 4001,
+    cfg: Optional[SolverConfig] = None,
     balance: bool = True,
 ) -> WellPotentialSpec:
     """Well parameters whose ground state approximates the target superposition.
@@ -395,11 +343,12 @@ def calibrate_wells(
     Centres are the target amplitudes; sigma = 1 and V0 = CURVATURE / gamma
     fix each well's local harmonic curvature, so every local mode has a
     position width close to the coherent-state width 1/2.  For four-centre
-    targets the inner pair's depth is then trimmed (scalar bisection on the
-    inner/outer subproblem ground energies, plus a fidelity polish of the
-    full solve) so neighbouring-well tails cannot detune the wells and
-    localize the ground state.  Centres closer than two position widths
-    raise ValueError (wells merge).
+    targets the inner pair's depth is then trimmed (a ``brentq`` root of the
+    inner/outer subproblem ground-energy difference, plus a fidelity polish
+    of the full solve) so neighbouring-well tails cannot detune the wells
+    and localize the ground state.  Every solve runs on ``cfg`` (default:
+    ``default_solver_config(target)``) in the target's parity sector.
+    Centres closer than two position widths raise ValueError (wells merge).
     """
     if not target.is_symmetric() and not target.is_antisymmetric():
         raise ValueError("well calibration expects a symmetric-on-line target")
@@ -411,34 +360,26 @@ def calibrate_wells(
                 f"wells merge: minimum centre gap {min_gap:.3g} is below"
                 f" {MIN_GAP:.3g} (two position widths)"
             )
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     v0 = CURVATURE / gamma
     spec = WellPotentialSpec(centers=centers, v0=v0, gamma=gamma, sigma=1.0)
     if not balance or len(set(round(abs(c), 12) for c in centers)) < 2:
         return spec
 
-    cfg = default_solver_config(spec, points)
+    cfg = cfg or default_solver_config(target)
+    odd = target.is_antisymmetric()
     inner, outer = _group_indices(centers)
-    e_outer = _subgroup_energy(spec, outer, cfg)
+    e_outer = _subgroup_energy(spec, outer, cfg, odd)
 
     def detuning(s: float) -> float:
-        return _subgroup_energy(_with_inner_scale(spec, inner, s), inner, cfg) - e_outer
+        return _subgroup_energy(_with_inner_scale(spec, inner, s), inner, cfg, odd) - e_outer
 
     lo, hi = 0.5, 1.5
-    f_lo, f_hi = detuning(lo), detuning(hi)
-    if f_lo * f_hi > 0.0:
+    if detuning(lo) * detuning(hi) > 0.0:
         s_star = 1.0
     else:
-        for _ in range(45):
-            mid = 0.5 * (lo + hi)
-            f_mid = detuning(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0.0:
-                hi, f_hi = mid, f_mid
-            else:
-                lo, f_lo = mid, f_mid
-        s_star = 0.5 * (lo + hi)
+        s_star = brentq(detuning, lo, hi, xtol=1e-14)
 
     if abs(s_star - 1.0) <= 1e-3:
         return spec
@@ -450,7 +391,7 @@ def calibrate_wells(
     for k in range(steps):
         s = s_star - span / 2 + span * k / (steps - 1)
         cand = _with_inner_scale(spec, inner, s)
-        f = fidelity(_solve_potential(cand, cfg), target)
+        f = fidelity(_solve_potential(cand, cfg, odd), target)
         if f > best_f:
             best_s, best_f = s, f
     return _with_inner_scale(spec, inner, best_s)
@@ -462,10 +403,13 @@ def solve_well(
     cfg: Optional[SolverConfig] = None,
     balance: bool = True,
 ) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
-    """Calibrate, solve and score a well system for a target superposition."""
-    spec = calibrate_wells(target, gamma=gamma, balance=balance,
-                           points=cfg.points if cfg is not None else 4001)
-    if cfg is None:
-        cfg = default_solver_config(spec)
-    psi = _solve_potential(spec, cfg)
+    """Calibrate, solve and score a well system for a target superposition.
+
+    Calibration and the final solve share ``cfg`` (default:
+    ``default_solver_config(target)``) and the target's parity sector, so an
+    odd target gets the lowest odd state.
+    """
+    cfg = cfg or default_solver_config(target)
+    spec = calibrate_wells(target, gamma=gamma, cfg=cfg, balance=balance)
+    psi = _solve_potential(spec, cfg, target.is_antisymmetric())
     return spec, psi, fidelity(psi, target)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multicat import cli
+from multicat import cli, states, wellsolver
 
 
 def parse(argv):
@@ -71,6 +71,23 @@ class TestParsing:
         cfg = parse(["pnd", "--amps", "-3,3"])
         assert cfg.spec.terms == ((-3.0, 1.0), (3.0, 1.0))
 
+    def test_tol_flag_removed(self):
+        with pytest.raises(SystemExit) as err:
+            parse(["pnd", "--preset", "Y1", "--tol", "nan"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(SystemExit) as err:
+            parse(["well", "--preset", "Y1", "--gamma", gamma])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--domain", "-inf:inf"), ("--qrange", "nan:1:5")])
+    def test_non_finite_ranges_rejected(self, flag, value):
+        with pytest.raises(SystemExit) as err:
+            parse(["wigner", "--preset", "Y1", flag, value])
+        assert err.value.code == 2
+
     def test_coeff_length_mismatch(self):
         with pytest.raises(SystemExit) as err:
             parse(["pnd", "--amps", "1,2", "--coeffs", "1"])
@@ -136,6 +153,32 @@ class TestRuns:
         assert min(abs(p - 2.0) for p in peaks) < 0.1
         assert (tmp_path / "well_potential.csv").exists()
         assert (tmp_path / "well_wavefunction.csv").exists()
+
+    def test_truncated_domain_is_runtime_error(self, tmp_path, capsys):
+        # the outer wells at +-7 sit one unit inside the domain ends
+        rc = cli.main(["well", "--preset", "Y1", "--domain=-8:8", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "domain too small" in capsys.readouterr().err
+
+    def test_well_domain_reaches_calibration(self, tmp_path):
+        # Y2's inner depths are calibrated on the --domain grid, not the default one
+        rc = cli.main(["well", "--preset", "Y2", "--domain=-24:24", "--points", "2401",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        report = dict(
+            line.split("=", 1) for line in (tmp_path / "well_report.txt").read_text().splitlines()
+        )
+        assert float(report["grid_step"]) == pytest.approx(0.02)
+        target = states.preset("Y2")
+        grids = {
+            "domain": wellsolver.SolverConfig(domain=(-24.0, 24.0), points=2401),
+            "default": wellsolver.default_solver_config(target, points=2401),
+        }
+        scales = {
+            key: ",".join(cli._fmt(s) for s in wellsolver.calibrate_wells(target, cfg=g).scales)
+            for key, g in grids.items()
+        }
+        assert report["depth_scales"] == scales["domain"] != scales["default"]
 
     def test_well_comb_case_peak_locations(self, tmp_path):
         rc = cli.main(["well", "--preset", "Y3", "--out", str(tmp_path)])

@@ -1,4 +1,4 @@
-"""Finite-difference Hamiltonian, inverse iteration, well calibration."""
+"""Finite-difference Hamiltonian, parity-folded ground states, well calibration."""
 
 import math
 
@@ -41,6 +41,14 @@ class TestPotential:
         with pytest.raises(ValueError):
             ws.WellPotentialSpec(centers=(1.0, -1.0), v0=1.0, gamma=1.0,
                                  depth_scales=(1.0,))
+
+    @pytest.mark.parametrize("field", ["v0", "gamma", "sigma", "depth_scales"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_parameters_rejected(self, field, bad):
+        kwargs = dict(centers=(1.0, -1.0), v0=1.0, gamma=1.0, sigma=1.0)
+        kwargs[field] = (1.0, bad) if field == "depth_scales" else bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            ws.WellPotentialSpec(**kwargs)
 
 
 class TestHamiltonian:
@@ -121,28 +129,45 @@ class TestGroundState:
         assert np.max(np.abs(psi.values - psi.values[::-1])) <= 1e-8
         assert fid > 0.9
 
-    def test_nonconvergence_signals_residual(self):
-        cfg = ws.SolverConfig(domain=(-8.0, 8.0), points=401, max_iter=1)
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_parity_sector_matches_dense_eigensolver(self, odd):
+        # double well with a near-degenerate lowest doublet: the folded
+        # half-grid solve must return dense eigenpair 0 (even) or 1 (odd)
+        cfg = ws.SolverConfig(domain=(-8.0, 8.0), points=301)
         xs = cfg.xs()
-        h = ws.build_hamiltonian(2.0 * xs**2, float(xs[1] - xs[0]))
-        with pytest.raises(RuntimeError, match="residual"):
-            ws.ground_state(h, cfg)
-
-    def test_colliding_shift_recovers_to_an_eigenpair(self):
-        # a shift equal to a diagonal entry zeroes the first pivot; the
-        # bounded re-shift must still land on a true eigenpair of H
-        cfg = ws.SolverConfig(domain=(-6.0, 6.0), points=41)
-        xs = cfg.xs()
-        h = ws.build_hamiltonian(2.0 * xs**2, float(xs[1] - xs[0]))
-        bad = ws.SolverConfig(domain=(-6.0, 6.0), points=41, shift=float(h.diag[0]))
-        psi = ws.ground_state(h, bad)
+        h = ws.build_hamiltonian(0.05 * (xs**2 - 9.0) ** 2, float(xs[1] - xs[0]))
+        dense = np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
+        evals, evecs = np.linalg.eigh(dense)
+        k = int(odd)
+        assert evals[1] - evals[0] < 1e-2
+        psi = ws.ground_state(h, cfg, odd=odd)
+        assert psi.energy == pytest.approx(float(evals[k]), abs=1e-10)
+        ref = evecs[:, k] / math.sqrt(float(evecs[:, k] @ evecs[:, k]) * psi.dx)
+        overlap = abs(float((psi.values @ ref) * psi.dx))
+        assert overlap == pytest.approx(1.0, abs=1e-10)
+        sign = -1.0 if odd else 1.0
+        assert np.array_equal(psi.values, sign * psi.values[::-1])
         resid = float(
             np.sqrt(np.sum((h.matvec(psi.values) - psi.energy * psi.values) ** 2) * psi.dx)
         )
-        assert resid < 1e-9
+        assert psi.residual == pytest.approx(resid) and resid < 1e-9
+
+    def test_asymmetric_potential_uses_full_grid(self):
+        cfg = ws.SolverConfig(domain=(-6.0, 6.0), points=201)
+        xs = cfg.xs()
+        h = ws.build_hamiltonian(2.0 * xs**2 + 0.5 * xs**3 / 6.0, float(xs[1] - xs[0]))
         dense = np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
         evals = np.linalg.eigvalsh(dense)
-        assert np.min(np.abs(evals - psi.energy)) < 1e-9
+        assert ws.ground_state(h, cfg).energy == pytest.approx(float(evals[0]), abs=1e-10)
+        with pytest.raises(ValueError, match="odd sector"):
+            ws.ground_state(h, cfg, odd=True)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_truncated_domain_rejected(self, odd):
+        # omega = 2 ground state exp(-x^2) is still 1e-4 of its peak at |x| = 3
+        cfg, xs, h = harmonic_problem(points=301, half=3.0)
+        with pytest.raises(ValueError, match="domain too small"):
+            ws.ground_state(h, cfg, odd=odd)
 
     def test_even_point_count_rejected(self):
         with pytest.raises(ValueError):
@@ -165,11 +190,26 @@ class TestCalibration:
         with pytest.raises(ValueError, match="symmetric"):
             ws.calibrate_wells(target)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            ws.calibrate_wells(states.preset("Y1"), gamma=gamma)
+
     def test_vacuum_single_well(self):
         spec = ws.calibrate_wells(states.preset("vacuum"))
         assert spec.centers == (0.0,)
         _, psi, fid = ws.solve_well(states.preset("vacuum"))
         assert fid > 0.99
+
+    @pytest.mark.parametrize("target", [
+        states.preset("odd-cat(2)"),
+        states.preset("odd-cat(3)"),
+        states.SuperpositionSpec(terms=((1.0, 1.0), (-1.0, -1.0), (6.0, 1.0), (-6.0, -1.0))),
+    ], ids=["odd-cat(2)", "odd-cat(3)", "odd-1-6"])
+    def test_odd_target_solved_in_odd_sector(self, target):
+        _, psi, fid = ws.solve_well(target)
+        assert np.array_equal(psi.values, -psi.values[::-1])
+        assert fid >= 0.99
 
     def test_middle_case_rebalances_inner_depths(self):
         spec = ws.calibrate_wells(states.preset("Y2"))
