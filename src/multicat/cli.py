@@ -181,11 +181,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Stream numeric columns as CSV lines in the ``.12g`` format of ``_fmt``.
+
+    Two axes and a 2-D last column (the Wigner grid) give one line per axis
+    pair; the second axis is formatted once and each first-axis row is one write.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
     with path.open("w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if cols[-1].ndim == 1:
+            line = (",".join(["{:.12g}"] * len(cols)) + "\n").format
+            fh.writelines(line(*row) for row in zip(*(c.tolist() for c in cols), strict=True))
+            return
+        qs, ps, values = cols
+        p_cells = [f"{p:.12g}," for p in ps.tolist()]
+        for q, row in zip(qs.tolist(), values, strict=True):
+            head = f"{q:.12g},"
+            fh.write("".join([f"{head}{p}{w:.12g}\n"
+                              for p, w in zip(p_cells, row.tolist(), strict=True)]))
 
 
 def _grid_for(cfg: RunConfig) -> wigner.PhaseSpaceGrid:
@@ -198,13 +212,8 @@ def _grid_for(cfg: RunConfig) -> wigner.PhaseSpaceGrid:
 def _emit_wigner(cfg: RunConfig) -> List[Path]:
     grid = _grid_for(cfg)
     fld = wigner.wigner_closed_form(cfg.spec, grid)
-    qs, ps = grid.qs(), grid.ps()
     path = cfg.out_dir / "wigner_field.csv"
-    _write_csv(
-        path,
-        "q,p,w",
-        ((qs[i], ps[j], fld.values[i, j]) for i in range(grid.nq) for j in range(grid.np)),
-    )
+    _write_csv(path, "q,p,w", grid.qs(), grid.ps(), fld.values)
     return [path]
 
 
@@ -214,8 +223,8 @@ def _emit_marginals(cfg: RunConfig) -> List[Path]:
     pcurve = marginals.momentum_marginal(cfg.spec, grid.ps())
     qpath = cfg.out_dir / "marginal_position.csv"
     ppath = cfg.out_dir / "marginal_momentum.csv"
-    _write_csv(qpath, "coordinate,density", zip(qcurve.coordinates, qcurve.densities))
-    _write_csv(ppath, "coordinate,density", zip(pcurve.coordinates, pcurve.densities))
+    _write_csv(qpath, "coordinate,density", qcurve.coordinates, qcurve.densities)
+    _write_csv(ppath, "coordinate,density", pcurve.coordinates, pcurve.densities)
     return [qpath, ppath]
 
 
@@ -226,7 +235,7 @@ def _effective_nmax(cfg: RunConfig) -> int:
 def _emit_pnd(cfg: RunConfig) -> List[Path]:
     dist = photon.qts_pnd(cfg.spec, _effective_nmax(cfg))
     path = cfg.out_dir / "pnd.csv"
-    _write_csv(path, "n,probability", enumerate(dist.probs))
+    _write_csv(path, "n,probability", np.arange(dist.probs.size), dist.probs)
     return [path]
 
 
@@ -245,13 +254,13 @@ def _emit_envelope(cfg: RunConfig) -> List[Path]:
     a, b = _envelope_amplitudes(cfg.spec)
     nmax = _effective_nmax(cfg)
     ns = np.arange(0.0, nmax + 0.25, 0.25)
+    flags = (False, True)
+    samples = [photon.envelope_sample(a, b, n, include_interference=flag)
+               for flag in flags for n in ns.tolist()]
     path = cfg.out_dir / "envelope.csv"
-    rows = []
-    for flag in (0, 1):
-        for n in ns:
-            s = photon.envelope_sample(a, b, float(n), include_interference=bool(flag))
-            rows.append((s.n, s.value, s.derivative, flag))
-    _write_csv(path, "n,value,derivative,with_interference", rows)
+    _write_csv(path, "n,value,derivative,with_interference", np.tile(ns, 2),
+               [s.value for s in samples], [s.derivative for s in samples],
+               np.repeat(flags, ns.size))
     return [path]
 
 
@@ -267,9 +276,9 @@ def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[Path]:
     paths: List[Path] = []
     if include_curves:
         vpath = cfg.out_dir / "well_potential.csv"
-        _write_csv(vpath, "x,V", zip(xs, wellsolver.potential(well_spec, xs)))
+        _write_csv(vpath, "x,V", xs, wellsolver.potential(well_spec, xs))
         spath = cfg.out_dir / "well_wavefunction.csv"
-        _write_csv(spath, "x,psi", zip(xs, psi.values))
+        _write_csv(spath, "x,psi", xs, psi.values)
         paths.extend([vpath, spath])
 
     rpath = cfg.out_dir / "well_report.txt"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SuperpositionSpec, normalization, position_wavefunction
+from .states import SuperpositionSpec, normalization, position_wavefunction, readonly
 from .wigner import WignerField
 
 __all__ = [
@@ -43,8 +43,7 @@ class MarginalCurve:
     def __post_init__(self):
         if self.axis not in ("position", "momentum"):
             raise ValueError(f"axis must be 'position' or 'momentum', got {self.axis!r}")
-        coords = np.asarray(self.coordinates, dtype=float)
-        dens = np.asarray(self.densities, dtype=float)
+        coords, dens = readonly(self.coordinates), readonly(self.densities)
         if coords.shape != dens.shape or coords.ndim != 1:
             raise ValueError("coordinates and densities must be matching 1-D arrays")
         object.__setattr__(self, "coordinates", coords)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
-from .states import SuperpositionSpec, fock_amplitudes
+from .states import SuperpositionSpec, fock_amplitudes, readonly
 
 __all__ = [
     "PhotonDistribution",
@@ -49,8 +49,7 @@ class PhotonDistribution:
     parity: str = "none"
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", readonly(self.probs))
         if self.parity not in ("even", "odd", "none"):
             raise ValueError(f"parity must be even/odd/none, got {self.parity!r}")
 
@@ -137,14 +136,19 @@ def qts_pnd_closed_form(alpha: float, beta: float, nmax: int, parity: str = "eve
 
     P(n) = [1 +- (-1)^n] (2/N) [P_cs(n;a) + P_cs(n;b)
                                  + 2 e^(-(a^2+b^2)/2) (a b)^n / n!].
+
+    Powers are taken in log space with 0 log 0 = 0, so a zero amplitude
+    gives the limit in which that pair sits on the vacuum.
     """
     a, b = float(alpha), float(beta)
+    if min(a, b) < 0.0:
+        raise ValueError("closed form needs nonnegative amplitudes")
     n = quad_normalization(a, b, parity)
     ns = np.arange(nmax + 1)
     lg = gammaln(ns + 1.0)
-    t_a = np.exp(-a * a + 2.0 * ns * math.log(a) - lg)
-    t_b = np.exp(-b * b + 2.0 * ns * math.log(b) - lg)
-    t_x = np.exp(-0.5 * (a * a + b * b) + ns * math.log(a * b) - lg)
+    t_a = np.exp(-a * a + xlogy(2.0 * ns, a) - lg)
+    t_b = np.exp(-b * b + xlogy(2.0 * ns, b) - lg)
+    t_x = np.exp(-0.5 * (a * a + b * b) + xlogy(ns, a * b) - lg)
     return _parity_factor(ns, parity) * (2.0 / n) * (t_a + t_b + 2.0 * t_x)
 
 
@@ -158,11 +162,13 @@ def inter_poissonian(alpha: float, beta: float, n: int, parity: str = "even") ->
     if n < 0:
         raise ValueError("photon number must be nonnegative")
     a, b = float(alpha), float(beta)
+    if min(a, b) < 0.0:
+        raise ValueError("closed form needs nonnegative amplitudes")
     pf = float(_parity_factor(n, parity))
     if pf == 0.0:
         return 0.0
     nn = quad_normalization(a, b, parity)
-    log_core = -0.5 * (a * a + b * b) + n * math.log(a * b) - math.lgamma(n + 1.0)
+    log_core = -0.5 * (a * a + b * b) + xlogy(n, a * b) - math.lgamma(n + 1.0)
     return pf * (4.0 / nn) * math.exp(log_core)
 
 

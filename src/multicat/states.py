@@ -96,6 +96,13 @@ class SuperpositionSpec:
         )
 
 
+def readonly(values) -> np.ndarray:
+    """A write-protected float copy, so result arrays stay immutable."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class FockExpansion:
     """Real Fock-basis amplitudes ``a_n`` of a normalized state, n = 0..nmax.
@@ -108,9 +115,8 @@ class FockExpansion:
     nmax: int
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=float)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.nmax + 1,):
+        object.__setattr__(self, "amplitudes", readonly(self.amplitudes))
+        if self.amplitudes.shape != (self.nmax + 1,):
             raise ValueError("amplitude array must have length nmax + 1")
 
     @property

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .states import SuperpositionSpec, position_wavefunction
+from .states import SuperpositionSpec, position_wavefunction, readonly
 
 __all__ = [
     "WellPotentialSpec",
@@ -133,8 +133,8 @@ class DiscretizedWavefunction:
     residual: float = float("nan")
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "xs", readonly(self.xs))
+        object.__setattr__(self, "values", readonly(self.values))
 
     @property
     def dx(self) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .states import SuperpositionSpec, normalization
+from .states import SuperpositionSpec, normalization, readonly
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -88,10 +88,9 @@ class WignerField:
     mass_deficit: bool = False
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.nq, self.grid.np):
+        object.__setattr__(self, "values", readonly(self.values))
+        if self.values.shape != (self.grid.nq, self.grid.np):
             raise ValueError("values must have shape (nq, np)")
-        object.__setattr__(self, "values", vals)
         if math.isnan(self.mass):
             object.__setattr__(self, "mass", integrate(self))
 

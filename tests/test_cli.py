@@ -1,9 +1,11 @@
 """Command-line interface: parsing, file emission, determinism, round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from multicat import cli, states, wellsolver
+from multicat import cli, marginals, photon, states, wellsolver, wigner
 
 
 def parse(argv):
@@ -202,3 +204,90 @@ class TestDeterminism:
         assert cli.main(argv + ["--out", str(out2)]) == 0
         for name in ("marginal_position.csv", "marginal_momentum.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def csv_text(header, *columns):
+    """The expected file: one line per row, each value as f"{float(x):.12g}"."""
+    lines = [header] + [",".join(f"{float(x):.12g}" for x in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestByteFormat:
+    EDGE = [-0.0, 5e-324, 1e16, 1e-5, 3.0]
+
+    def test_all_files_match_library_arrays(self, tmp_path):
+        argv = ["all", "--preset", "Y3", "--qrange", "-11:11:67", "--prange", "-8:8:49"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        spec = states.preset("Y3")
+        grid = wigner.PhaseSpaceGrid(-11.0, 11.0, -8.0, 8.0, 67, 49)
+        qs, ps = grid.qs(), grid.ps()
+        field = wigner.wigner_closed_form(spec, grid).values
+        qcurve = marginals.position_marginal(spec, qs)
+        pcurve = marginals.momentum_marginal(spec, ps)
+        nmax = states.min_fock_truncation(spec)
+        probs = photon.qts_pnd(spec, nmax).probs
+        ns = np.arange(0.0, nmax + 0.25, 0.25)
+        samples = [photon.envelope_sample(2.0, 6.0, n, include_interference=flag)
+                   for flag in (False, True) for n in ns]
+        expected = {
+            "wigner_field.csv": csv_text("q,p,w", np.repeat(qs, ps.size),
+                                         np.tile(ps, qs.size), field.ravel()),
+            "marginal_position.csv": csv_text("coordinate,density",
+                                              qcurve.coordinates, qcurve.densities),
+            "marginal_momentum.csv": csv_text("coordinate,density",
+                                              pcurve.coordinates, pcurve.densities),
+            "pnd.csv": csv_text("n,probability", range(nmax + 1), probs),
+            "envelope.csv": csv_text("n,value,derivative,with_interference",
+                                     [s.n for s in samples], [s.value for s in samples],
+                                     [s.derivative for s in samples],
+                                     [0] * ns.size + [1] * ns.size),
+        }
+        for name, text in expected.items():
+            assert (tmp_path / name).read_text() == text, name
+
+    def test_well_files_match_library_arrays(self, tmp_path):
+        argv = ["well", "--preset", "even-cat(2)", "--points", "2001"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        spec = states.preset("even-cat(2)")
+        cfg = wellsolver.default_solver_config(spec, points=2001)
+        well_spec, psi, _ = wellsolver.solve_well(spec, gamma=2.0, cfg=cfg)
+        potential = wellsolver.potential(well_spec, psi.xs)
+        assert (tmp_path / "well_potential.csv").read_text() == csv_text("x,V", psi.xs, potential)
+        assert (tmp_path / "well_wavefunction.csv").read_text() == csv_text(
+            "x,psi", psi.xs, psi.values
+        )
+
+    def test_edge_values_in_columns(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        cli._write_csv(path, "x,y", self.EDGE, self.EDGE[::-1])
+        assert path.read_text() == csv_text("x,y", self.EDGE, self.EDGE[::-1])
+        assert path.read_text().splitlines()[1:] == [
+            "-0,3", "4.94065645841e-324,1e-05", "1e+16,1e+16",
+            "1e-05,4.94065645841e-324", "3,-0",
+        ]
+
+    def test_edge_values_on_a_grid(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        qs, ps = self.EDGE[:2], self.EDGE[2:]
+        values = np.array([[-0.0, 5e-324, 1e16], [1e-5, 3.0, -2.5]])
+        cli._write_csv(path, "q,p,w", qs, ps, values)
+        assert path.read_text() == csv_text(
+            "q,p,w", np.repeat(qs, 3), np.tile(ps, 2), values.ravel()
+        )
+        assert path.read_text().splitlines()[1] == "-0,1e+16,-0"
+
+
+class TestStreaming:
+    def test_wigner_csv_peak_memory_stays_near_the_field(self, tmp_path):
+        # a writer that builds the 241,001-line file in memory peaks at tens of MB
+        spec = states.preset("Y1")
+        tracemalloc.start()
+        try:
+            wigner.wigner_closed_form(spec, wigner.default_grid(spec))
+            field_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert cli.main(["wigner", "--preset", "Y1", "--out", str(tmp_path)]) == 0
+            cli_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cli_peak < 2 * field_peak

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from multicat import photon, states
 
@@ -79,6 +80,46 @@ class TestDistribution:
         spec = states.SuperpositionSpec(terms=((2.0, 1.0),))
         dist = photon.qts_pnd(spec, 64)
         assert dist.mean() == pytest.approx(4.0, abs=1e-10)
+
+
+class TestZeroAmplitude:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("b", [0.5, 2.0, 5.0])
+    def test_closed_forms_reach_the_limit(self, b, parity):
+        # a = 0 puts the inner pair on the origin: |0> +- |0> + |b> +- |-b>
+        sign = 1.0 if parity == "even" else -1.0
+        spec = states.SuperpositionSpec(terms=((0.0, 1.0), (0.0, sign), (b, 1.0), (-b, sign)))
+        nmax = states.min_fock_truncation(spec)
+        dist = photon.qts_pnd(spec, nmax).probs
+        closed = photon.qts_pnd_closed_form(0.0, b, nmax, parity)
+        assert np.max(np.abs(dist - closed)) < 1e-14
+        n_norm = photon.quad_normalization(0.0, b, parity)
+        for n in range(nmax + 1):
+            plain = photon._parity_factor(n, parity) * (2.0 / n_norm) * (
+                photon.poisson_pnd(0.0, n) + photon.poisson_pnd(b, n)
+            )
+            cross = photon.inter_poissonian(0.0, b, n, parity)
+            assert dist[n] - plain == pytest.approx(cross, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
+    def test_positive_amplitudes_keep_their_bits(self, name):
+        a, b = CASES[name]
+        ns = np.arange(161)
+        lg = special.gammaln(ns + 1.0)
+        t_a = np.exp(-a * a + 2.0 * ns * math.log(a) - lg)
+        t_b = np.exp(-b * b + 2.0 * ns * math.log(b) - lg)
+        t_x = np.exp(-0.5 * (a * a + b * b) + ns * math.log(a * b) - lg)
+        for parity in ("even", "odd"):
+            direct = photon._parity_factor(ns, parity) * (
+                2.0 / photon.quad_normalization(a, b, parity)
+            ) * (t_a + t_b + 2.0 * t_x)
+            assert np.array_equal(photon.qts_pnd_closed_form(a, b, 160, parity), direct)
+
+    def test_negative_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            photon.qts_pnd_closed_form(-1.0, 2.0, 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            photon.inter_poissonian(1.0, -2.0, 4)
 
 
 class TestInterPoissonian:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicat import states
+from multicat import marginals, photon, states, wellsolver, wigner
 
 AMP = (2.0 / math.pi) ** 0.25
 
@@ -239,3 +239,30 @@ class TestSpecValidation:
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):
             states.SuperpositionSpec(terms=((1.0, 0.0), (2.0, 0.0)))
+
+
+class TestImmutableResults:
+    @pytest.mark.parametrize(
+        "make, fields",
+        [
+            (lambda a: states.FockExpansion(amplitudes=a, nmax=24), ("amplitudes",)),
+            (lambda a: photon.PhotonDistribution(probs=a), ("probs",)),
+            (lambda a: wigner.WignerField(grid=wigner.PhaseSpaceGrid(0.0, 1.0, 0.0, 1.0, 5, 5),
+                                          values=a.reshape(5, 5)), ("values",)),
+            (lambda a: marginals.MarginalCurve(axis="position", coordinates=a, densities=a),
+             ("coordinates", "densities")),
+            (lambda a: wellsolver.DiscretizedWavefunction(xs=a, values=a, energy=0.0),
+             ("xs", "values")),
+        ],
+        ids=["FockExpansion", "PhotonDistribution", "WignerField", "MarginalCurve",
+             "DiscretizedWavefunction"],
+    )
+    def test_arrays_are_read_only_copies(self, make, fields):
+        source = np.linspace(0.0, 1.0, 25)
+        result = make(source)
+        for name in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result, name).flat[0] = 7.0
+        source[0] = 7.0  # the caller's array stays the caller's
+        for name in fields:
+            assert getattr(result, name).flat[0] == 0.0
