@@ -28,7 +28,6 @@ from .wigner import (
 )
 from .marginals import MarginalCurve, marginal_from_field, momentum_marginal, position_marginal
 from .photon import (
-    EnvelopeSample,
     PhotonDistribution,
     digamma,
     envelope,

@@ -255,12 +255,11 @@ def _emit_envelope(cfg: RunConfig) -> List[Path]:
     nmax = _effective_nmax(cfg)
     ns = np.arange(0.0, nmax + 0.25, 0.25)
     flags = (False, True)
-    samples = [photon.envelope_sample(a, b, n, include_interference=flag)
-               for flag in flags for n in ns.tolist()]
+    values = [photon.envelope(a, b, ns, flag) for flag in flags]
+    slopes = [photon.envelope_derivative(a, b, ns, flag) for flag in flags]
     path = cfg.out_dir / "envelope.csv"
     _write_csv(path, "n,value,derivative,with_interference", np.tile(ns, 2),
-               [s.value for s in samples], [s.derivative for s in samples],
-               np.repeat(flags, ns.size))
+               np.concatenate(values), np.concatenate(slopes), np.repeat(flags, ns.size))
     return [path]
 
 

@@ -11,30 +11,28 @@ mask times a smooth envelope,
 whose last term is the interference between the two Poissonian humps.
 Treating n as continuous via n! = Gamma(n+1) gives the envelope function
 and its derivative, which locates the envelope extrema through the
-digamma function implemented here.
+digamma function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy import special
+from scipy.optimize import brentq
 
 from .states import SuperpositionSpec, fock_amplitudes, readonly
 
 __all__ = [
     "PhotonDistribution",
-    "EnvelopeSample",
     "poisson_pnd",
     "qts_pnd",
     "qts_pnd_closed_form",
     "inter_poissonian",
     "envelope",
     "envelope_derivative",
-    "envelope_sample",
     "envelope_extrema",
     "digamma",
     "quad_normalization",
@@ -61,13 +59,36 @@ class PhotonDistribution:
         return float(np.arange(self.probs.size) @ self.probs)
 
 
-@dataclass(frozen=True)
-class EnvelopeSample:
-    """Envelope value and derivative at one continuous photon number."""
+def _photon_numbers(n) -> np.ndarray:
+    """``n`` as a float array; negative or non-finite photon numbers raise ValueError."""
+    ns = np.asarray(n, dtype=float)
+    if not np.isfinite(ns).all():
+        raise ValueError("photon number must be finite")
+    if (ns < 0).any():
+        raise ValueError("photon number must be nonnegative")
+    return ns
 
-    n: float
-    value: float
-    derivative: float
+
+def _like(ns: np.ndarray, out: np.ndarray) -> np.ndarray | float:
+    """A float for a scalar photon number, the array otherwise."""
+    return float(out) if ns.ndim == 0 else out
+
+
+def _terms(a: float, b: float, ns: np.ndarray) -> np.ndarray:
+    """Poisson terms (T_a, T_b, T_x) at photon numbers ``ns``, stacked on axis 0.
+
+    T_a = e^(-a^2) a^(2n) / Gamma(n+1), T_b likewise, and the interference
+    term T_x = e^(-(a^2+b^2)/2) (a b)^n / Gamma(n+1).  Powers are taken in
+    log space with 0 log 0 = 0, so a zero amplitude gives its vacuum limit.
+    """
+    if min(a, b) < 0.0:
+        raise ValueError("photon terms need nonnegative amplitudes")
+    logs = np.array([
+        -a * a + special.xlogy(2.0 * ns, a),
+        -b * b + special.xlogy(2.0 * ns, b),
+        -0.5 * (a * a + b * b) + special.xlogy(ns, a * b),
+    ])
+    return np.exp(logs - special.gammaln(ns + 1.0))
 
 
 def poisson_pnd(alpha: float, n) -> np.ndarray | float:
@@ -76,17 +97,8 @@ def poisson_pnd(alpha: float, n) -> np.ndarray | float:
     Mean and variance are both alpha^2.  Evaluated in log space; ``n`` may
     be a scalar or an integer array.
     """
-    ns = np.asarray(n)
-    if np.any(ns < 0):
-        raise ValueError("photon number must be nonnegative")
-    a2 = float(alpha) * float(alpha)
-    if a2 == 0.0:
-        out = np.where(ns == 0, 1.0, 0.0)
-    else:
-        out = np.exp(-a2 + ns * math.log(a2) - gammaln(ns + 1.0))
-    if np.isscalar(n):
-        return float(out)
-    return out
+    a, ns = abs(float(alpha)), _photon_numbers(n)
+    return _like(ns, _terms(a, a, ns)[0])
 
 
 def _detect_parity(spec: SuperpositionSpec) -> str:
@@ -108,15 +120,19 @@ def qts_pnd(spec: SuperpositionSpec, nmax: int) -> PhotonDistribution:
     return PhotonDistribution(probs=probs, parity=_detect_parity(spec))
 
 
+def _parity_sign(parity: str) -> float:
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return 1.0 if parity == "even" else -1.0
+
+
 def quad_normalization(alpha: float, beta: float, parity: str = "even") -> float:
     """Squared norm of |a> +- |-a> +- |b> +- |-b| with the natural sign pattern.
 
     Even: all plus signs.  Odd: alternating signs (+a, -(-a), +b, -(-b)),
     which keeps only odd Fock components.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    s = 1.0 if parity == "even" else -1.0
+    s = _parity_sign(parity)
     a, b = float(alpha), float(beta)
     return (
         2.0 * (1.0 + s * math.exp(-2.0 * a * a))
@@ -126,9 +142,8 @@ def quad_normalization(alpha: float, beta: float, parity: str = "even") -> float
 
 
 def _parity_factor(n, parity: str):
-    ns = np.asarray(n)
-    sign = np.where(ns % 2 == 0, 1.0, -1.0)
-    return 1.0 + sign if parity == "even" else 1.0 - sign
+    """1 +- (-1)^n: 2 on the kept parity, 0 on the other."""
+    return 1.0 + _parity_sign(parity) * np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
 
 
 def qts_pnd_closed_form(alpha: float, beta: float, nmax: int, parity: str = "even") -> np.ndarray:
@@ -137,19 +152,14 @@ def qts_pnd_closed_form(alpha: float, beta: float, nmax: int, parity: str = "eve
     P(n) = [1 +- (-1)^n] (2/N) [P_cs(n;a) + P_cs(n;b)
                                  + 2 e^(-(a^2+b^2)/2) (a b)^n / n!].
 
-    Powers are taken in log space with 0 log 0 = 0, so a zero amplitude
-    gives the limit in which that pair sits on the vacuum.
+    A zero amplitude gives the limit in which that pair sits on the vacuum.
     """
     a, b = float(alpha), float(beta)
-    if min(a, b) < 0.0:
-        raise ValueError("closed form needs nonnegative amplitudes")
-    n = quad_normalization(a, b, parity)
     ns = np.arange(nmax + 1)
-    lg = gammaln(ns + 1.0)
-    t_a = np.exp(-a * a + xlogy(2.0 * ns, a) - lg)
-    t_b = np.exp(-b * b + xlogy(2.0 * ns, b) - lg)
-    t_x = np.exp(-0.5 * (a * a + b * b) + xlogy(ns, a * b) - lg)
-    return _parity_factor(ns, parity) * (2.0 / n) * (t_a + t_b + 2.0 * t_x)
+    t_a, t_b, t_x = _terms(a, b, ns)
+    return _parity_factor(ns, parity) * (2.0 / quad_normalization(a, b, parity)) * (
+        t_a + t_b + 2.0 * t_x
+    )
 
 
 def inter_poissonian(alpha: float, beta: float, n: int, parity: str = "even") -> float:
@@ -158,77 +168,54 @@ def inter_poissonian(alpha: float, beta: float, n: int, parity: str = "even") ->
     [1 +- (-1)^n] * (4/N) * e^(-(a^2+b^2)/2) (a b)^n / n!, the exact
     Fock-space interference contribution; subtracting the plain sum of
     Poissonians from the full distribution leaves exactly this value.
+    A non-integer ``n`` raises ValueError.
     """
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
+    ns = _photon_numbers(n)
+    if (ns != np.floor(ns)).any():
+        raise ValueError("photon number must be an integer")
     a, b = float(alpha), float(beta)
-    if min(a, b) < 0.0:
-        raise ValueError("closed form needs nonnegative amplitudes")
-    pf = float(_parity_factor(n, parity))
-    if pf == 0.0:
-        return 0.0
-    nn = quad_normalization(a, b, parity)
-    log_core = -0.5 * (a * a + b * b) + xlogy(n, a * b) - math.lgamma(n + 1.0)
-    return pf * (4.0 / nn) * math.exp(log_core)
+    pf = _parity_factor(ns, parity)
+    t_x = _terms(a, b, ns)[2]
+    return _like(ns, pf * (4.0 / quad_normalization(a, b, parity)) * t_x)
 
 
-def _envelope_terms(alpha: float, beta: float, n: float) -> Tuple[float, float, float]:
-    """Log-space Poisson terms (T_a, T_b, T_x) at continuous n, with 1/Gamma(n+1)."""
+def _envelope_parts(alpha: float, beta: float, n):
+    """Photon numbers, Poisson terms and 2/N of the even envelope at continuous n."""
+    ns = _photon_numbers(n)
     a, b = float(alpha), float(beta)
     if a <= 0.0 or b <= 0.0:
         raise ValueError("envelope requires strictly positive amplitudes")
-    lg = math.lgamma(n + 1.0)
-    t_a = math.exp(-a * a + 2.0 * n * math.log(a) - lg)
-    t_b = math.exp(-b * b + 2.0 * n * math.log(b) - lg)
-    t_x = math.exp(-0.5 * (a * a + b * b) + n * math.log(a * b) - lg)
-    return t_a, t_b, t_x
+    return ns, _terms(a, b, ns), 2.0 / quad_normalization(a, b, "even")
 
 
-def envelope(alpha: float, beta: float, n: float, include_interference: bool = True) -> float:
+def envelope(alpha: float, beta: float, n, include_interference: bool = True):
     """Smooth envelope of the even four-component distribution at continuous n.
 
     With the interference term this is (2/N)(T_a + T_b + 2 T_x); without it,
     the plain sum of the two Poissonians (2/N)(T_a + T_b).  At integer n the
     full envelope times the parity factor reproduces the distribution.
+    ``n`` may be a scalar (a float is returned) or an array.
     """
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    t_a, t_b, t_x = _envelope_terms(alpha, beta, n)
-    nn = quad_normalization(alpha, beta, "even")
+    ns, (t_a, t_b, t_x), scale = _envelope_parts(alpha, beta, n)
     total = t_a + t_b + (2.0 * t_x if include_interference else 0.0)
-    return (2.0 / nn) * total
+    return _like(ns, scale * total)
 
 
-def envelope_derivative(
-    alpha: float, beta: float, n: float, include_interference: bool = True
-) -> float:
+def envelope_derivative(alpha: float, beta: float, n, include_interference: bool = True):
     """d/dn of the envelope, using d(x^n)/dn = x^n ln x and dGamma via digamma.
 
     (2/N) [T_a (2 ln a - psi) + T_b (2 ln b - psi) + 2 T_x (ln ab - psi)]
     with psi = digamma(n + 1); the interference term is dropped when
     ``include_interference`` is false.  Zeros locate the envelope extrema.
+    ``n`` may be a scalar (a float is returned) or an array.
     """
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
+    ns, (t_a, t_b, t_x), scale = _envelope_parts(alpha, beta, n)
     a, b = float(alpha), float(beta)
-    t_a, t_b, t_x = _envelope_terms(a, b, n)
-    psi = digamma(n + 1.0)
-    nn = quad_normalization(a, b, "even")
+    psi = special.digamma(ns + 1.0)
     total = t_a * (2.0 * math.log(a) - psi) + t_b * (2.0 * math.log(b) - psi)
     if include_interference:
         total += 2.0 * t_x * (math.log(a * b) - psi)
-    return (2.0 / nn) * total
-
-
-def envelope_sample(
-    alpha: float, beta: float, n: float, include_interference: bool = True
-) -> EnvelopeSample:
-    """Envelope value and derivative bundled for export."""
-    return EnvelopeSample(
-        n=float(n),
-        value=envelope(alpha, beta, n, include_interference),
-        derivative=envelope_derivative(alpha, beta, n, include_interference),
-    )
+    return _like(ns, scale * total)
 
 
 def envelope_extrema(
@@ -239,69 +226,28 @@ def envelope_extrema(
     include_interference: bool = True,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Zeros of the envelope derivative in [n_min, n_max].
+    """Zeros of the envelope derivative in [n_min, n_max], located to ``tol``.
 
-    Brackets sign changes by a unit-step scan, then bisects each bracket.
+    The derivative is evaluated on a unit-step grid; each sign change is
+    refined with Brent's method and each exact zero on the grid is kept.
     """
 
     def deriv(x: float) -> float:
         return envelope_derivative(alpha, beta, x, include_interference)
 
-    grid = np.arange(n_min, n_max, 1.0)
-    grid = np.append(grid, n_max)
-    roots = []
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        f_lo, f_hi = deriv(lo), deriv(hi)
-        if f_lo == 0.0:
-            roots.append(lo)
-            continue
-        if f_lo * f_hi > 0.0:
-            continue
-        a_, b_ = float(lo), float(hi)
-        while b_ - a_ > tol:
-            mid = 0.5 * (a_ + b_)
-            f_mid = deriv(mid)
-            if f_mid == 0.0:
-                a_ = b_ = mid
-                break
-            if f_lo * f_mid < 0.0:
-                b_ = mid
-            else:
-                a_, f_lo = mid, f_mid
-        roots.append(0.5 * (a_ + b_))
-    return np.array(roots)
-
-
-# Asymptotic series coefficients B_2k / (2k), k = 1..7.
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-_DIGAMMA_SWITCH = 10.0
+    grid = np.append(np.arange(n_min, n_max, 1.0), n_max)
+    sign = np.sign(envelope_derivative(alpha, beta, grid, include_interference))
+    roots = [brentq(deriv, grid[i], grid[i + 1], xtol=tol)
+             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+    return np.sort(np.concatenate([grid[sign == 0.0], roots]))
 
 
 def digamma(x: float) -> float:
-    """Digamma function psi(x) = d/dx ln Gamma(x) for x > 0.
+    """Digamma function psi(x) = d/dx ln Gamma(x) for x > 0, from SciPy.
 
-    Arguments below 10 are lifted with psi(x) = psi(x + 1) - 1/x, then the
-    de Moivre asymptotic series is applied; accuracy is better than 1e-12
-    across the supported domain.  Nonpositive x raises ValueError.
+    Nonpositive or non-finite x raises ValueError.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"digamma: argument {x} outside supported domain (x > 0)")
-    acc = 0.0
-    while x < _DIGAMMA_SWITCH:
-        acc -= 1.0 / x
-        x += 1.0
-    u = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        tail = (tail + c) * u
-    return acc + math.log(x) - 0.5 / x - tail
+    return float(special.digamma(x))

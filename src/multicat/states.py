@@ -133,22 +133,21 @@ def overlap(mu1: float, mu2: float) -> float:
     return math.exp(-0.5 * d * d)
 
 
-def gram_matrix(spec: SuperpositionSpec) -> np.ndarray:
-    """Pairwise overlap matrix G[j, k] = <mu_k|mu_j> for the spec's terms."""
-    mus = spec.amplitudes
-    d = mus[:, None] - mus[None, :]
-    return np.exp(-0.5 * d * d)
-
-
 def normalization(spec: SuperpositionSpec) -> float:
     """Squared norm N = sum_jk c_j c_k <mu_k|mu_j> of the raw superposition.
 
-    Raises ValueError for degenerate specs whose Gram sum is not strictly
-    positive at working precision (an unnormalizable state).
+    Summed as N = (sum_j c_j)^2 + sum_jk c_j c_k expm1(-(mu_j - mu_k)^2 / 2),
+    which does not cancel when the terms nearly annihilate each other (an
+    odd cat at small amplitude).  Raises ValueError for degenerate specs
+    whose sum is not strictly positive at working precision against the
+    size of its terms (an unnormalizable state).
     """
-    cs = spec.coefficients
-    n = float(cs @ gram_matrix(spec) @ cs)
-    if n <= 1e-15 * float(np.sum(cs * cs)):
+    cs, mus = spec.coefficients, spec.amplitudes
+    d = mus[:, None] - mus[None, :]
+    pairs = cs[:, None] * cs[None, :] * np.expm1(-0.5 * d * d)
+    head = math.fsum(cs) ** 2
+    n = head + float(pairs.sum())
+    if n <= 1e-15 * (head + float(np.abs(pairs).sum())):
         raise ValueError("unnormalizable state: Gram sum is not positive")
     return n
 

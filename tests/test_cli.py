@@ -227,8 +227,9 @@ class TestByteFormat:
         nmax = states.min_fock_truncation(spec)
         probs = photon.qts_pnd(spec, nmax).probs
         ns = np.arange(0.0, nmax + 0.25, 0.25)
-        samples = [photon.envelope_sample(2.0, 6.0, n, include_interference=flag)
-                   for flag in (False, True) for n in ns]
+        flags = (False, True)
+        values = np.concatenate([photon.envelope(2.0, 6.0, ns, flag) for flag in flags])
+        slopes = np.concatenate([photon.envelope_derivative(2.0, 6.0, ns, flag) for flag in flags])
         expected = {
             "wigner_field.csv": csv_text("q,p,w", np.repeat(qs, ps.size),
                                          np.tile(ps, qs.size), field.ravel()),
@@ -238,8 +239,7 @@ class TestByteFormat:
                                               pcurve.coordinates, pcurve.densities),
             "pnd.csv": csv_text("n,probability", range(nmax + 1), probs),
             "envelope.csv": csv_text("n,value,derivative,with_interference",
-                                     [s.n for s in samples], [s.value for s in samples],
-                                     [s.derivative for s in samples],
+                                     np.tile(ns, 2), values, slopes,
                                      [0] * ns.size + [1] * ns.size),
         }
         for name, text in expected.items():

@@ -123,6 +123,14 @@ class TestZeroAmplitude:
 
 
 class TestInterPoissonian:
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError, match="parity"):
+            photon.inter_poissonian(4.0, 7.0, 2, "bogus")
+
+    def test_non_integer_n_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            photon.inter_poissonian(4.0, 7.0, 2.5)
+
     def test_excluded_parity_vanishes(self):
         assert photon.inter_poissonian(4.0, 7.0, 3, "even") == 0.0
         assert photon.inter_poissonian(4.0, 7.0, 8, "odd") == 0.0
@@ -201,6 +209,20 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             photon.envelope(4.0, 7.0, -0.5)
 
+    def test_non_finite_n_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            photon.envelope(4.0, 7.0, math.nan)
+
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
+    @pytest.mark.parametrize("include", [True, False])
+    def test_array_calls_match_scalar_calls(self, name, include):
+        a, b = CASES[name]
+        ns = np.arange(0.0, states.min_fock_truncation(states.preset(name)) + 0.25, 0.25)
+        for fn in (photon.envelope, photon.envelope_derivative):
+            scalars = [fn(a, b, float(n), include) for n in ns]
+            assert all(type(v) is float for v in scalars)
+            np.testing.assert_allclose(fn(a, b, ns, include), scalars, rtol=1e-14, atol=0.0)
+
 
 class TestEnvelopeDerivative:
     @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
@@ -236,6 +258,24 @@ class TestEnvelopeDerivative:
         assert len(with_term) == len(without)
         assert np.max(np.abs(with_term - without)) < 0.5
 
+    # frozen from the unit-step scan with bisection to 1e-10 that Brent's method replaced
+    BISECTION_ROOTS = {
+        ("Y1", True): [15.504564581002342, 30.044917809806066, 48.497837056725984],
+        ("Y1", False): [15.49739982173196, 29.73101134461467, 48.49914966835058],
+        ("Y2", True): [10.136827338807052, 35.49884269302129],
+        ("Y2", False): [9.945614765834762, 35.49884269302129],
+        ("Y3", True): [3.4897000296914484, 14.995674112724373, 35.498842684872216],
+        ("Y3", False): [3.489654179866193, 14.76675979924039, 35.49884269302129],
+    }
+
+    @pytest.mark.parametrize("name,include", sorted(BISECTION_ROOTS))
+    def test_extrema_match_bisection_roots(self, name, include):
+        a, b = CASES[name]
+        got = photon.envelope_extrema(a, b, 0.5, 120.0, include)
+        want = self.BISECTION_ROOTS[(name, include)]
+        assert got.shape == (len(want),)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
 
 class TestDigamma:
     def test_euler_mascheroni(self):
@@ -269,3 +309,5 @@ class TestDigamma:
             photon.digamma(0.0)
         with pytest.raises(ValueError, match="outside supported domain"):
             photon.digamma(-3.5)
+        with pytest.raises(ValueError, match="outside supported domain"):
+            photon.digamma(math.nan)

@@ -8,9 +8,10 @@ can be regenerated.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multicat import marginals, photon, states, wellsolver, wigner
@@ -23,6 +24,19 @@ def overlap_oracle(m1, m2):
     lo, hi = min(m1, m2) - 12.0, max(m1, m2) + 12.0
     q = np.linspace(lo, hi, 40001)
     return float(np.trapezoid(AMP * np.exp(-((q - m1) ** 2)) * AMP * np.exp(-((q - m2) ** 2)), q))
+
+
+def gram_sum_mp(terms):
+    """50-digit Gram sum N and the size of its terms, (sum c)^2 + sum |c_j c_k expm1(...)|."""
+    with mpmath.workdps(50):
+        cs = [mpmath.mpf(c) for _, c in terms]
+        pairs = [
+            cj * ck * mpmath.expm1(-(mpmath.mpf(mj) - mpmath.mpf(mk)) ** 2 / 2)
+            for (mj, _), cj in zip(terms, cs)
+            for (mk, _), ck in zip(terms, cs)
+        ]
+        head = mpmath.fsum(cs) ** 2
+        return float(head + mpmath.fsum(pairs)), float(head + mpmath.fsum(abs(p) for p in pairs))
 
 
 def normalization_oracle(spec):
@@ -108,6 +122,38 @@ class TestNormalization:
         shuffled = states.SuperpositionSpec(terms=tuple(reversed(terms)))
         assert states.normalization(flipped) == pytest.approx(n, rel=1e-12)
         assert states.normalization(shuffled) == pytest.approx(n, rel=1e-12)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-5.0, 5.0), st.floats(-1e-4, 1e-4)),
+                st.one_of(st.just(0.0), st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200)
+    def test_gram_sum_against_mpmath(self, terms):
+        assume(any(c != 0.0 for _, c in terms))
+        spec = states.SuperpositionSpec(terms=tuple(terms))
+        exact, size = gram_sum_mp(spec.terms)
+        try:
+            n = states.normalization(spec)
+        except ValueError:
+            assert exact <= 1e-14 * size
+            return
+        assert abs(n - exact) <= 1e-14 * size
+
+    @given(st.floats(-6.0, 0.0), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=60)
+    def test_near_cancelling_cats_keep_their_digits(self, log_a, sign):
+        a = 10.0**log_a
+        spec = states.SuperpositionSpec(terms=((a, 1.0), (-a, sign)))
+        exact, _ = gram_sum_mp(spec.terms)
+        assert states.normalization(spec) == pytest.approx(exact, rel=1e-14)
+        mass = states.fock_amplitudes(spec, 64).captured_mass
+        assert abs(mass - 1.0) <= 1e-12
 
 
 class TestPositionWavefunction:
