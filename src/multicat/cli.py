@@ -265,7 +265,7 @@ def _emit_envelope(cfg: RunConfig) -> List[Path]:
 
 def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[Path]:
     if cfg.domain is None:
-        solver_cfg = wellsolver.default_solver_config(cfg.spec, points=cfg.points)
+        solver_cfg = wellsolver.default_solver_config(cfg.spec, points=cfg.points, gamma=cfg.gamma)
     else:
         solver_cfg = wellsolver.SolverConfig(domain=cfg.domain, points=cfg.points)
     well_spec, psi, fid = wellsolver.solve_well(cfg.spec, gamma=cfg.gamma, cfg=solver_cfg)

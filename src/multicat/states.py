@@ -182,7 +182,9 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
     """Fock-basis amplitudes a_n = N^(-1/2) sum_j c_j e^(-mu_j^2/2) mu_j^n / sqrt(n!).
 
     Factorials are handled through log-gamma so large photon numbers do not
-    overflow.  ``nmax`` below the truncation rule raises ValueError.
+    overflow.  ``nmax`` below the truncation rule raises ValueError, and so
+    does a sum that cancels so far that the captured mass misses one by more
+    than ``TRUNCATION_TOLERANCE``.
     """
     floor = min_fock_truncation(spec)
     if nmax < floor:
@@ -204,8 +206,13 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
             if m < 0.0:
                 contrib[1::2] *= -1.0
         total += contrib
-    amps = total / math.sqrt(normalization(spec))
-    return FockExpansion(amplitudes=amps, nmax=int(nmax))
+    expansion = FockExpansion(amplitudes=total / math.sqrt(normalization(spec)), nmax=int(nmax))
+    if abs(expansion.captured_mass - 1.0) > TRUNCATION_TOLERANCE:
+        raise ValueError(
+            f"captured mass {expansion.captured_mass!r} misses 1 by more than"
+            f" {TRUNCATION_TOLERANCE:g}: the superposition cancels beyond working precision"
+        )
+    return expansion
 
 
 _CAT_RE = re.compile(r"^(even|odd)-cat\(([^)]+)\)$")

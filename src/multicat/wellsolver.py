@@ -60,6 +60,9 @@ __all__ = [
 #: Measured target fidelities across the built-in cases peak near this value.
 CURVATURE = 6.0
 
+#: Bracket of the inner-pair depth scale searched by ``calibrate_wells``.
+SCALE_BRACKET = (0.5, 1.5)
+
 #: Minimum allowed centre separation, two coherent-state position widths.
 MIN_GAP = 1.0
 
@@ -270,16 +273,39 @@ def ground_state(
     )
 
 
-#: Domain margin past the outermost centre.  Gaussian wells have finite
-#: asymptotic depth, so bound states decay like exp(-kappa x) with
-#: kappa ~ sqrt(2 (V0 - E)) of order 1.6; this margin pushes the boundary
-#: amplitude below 1e-10.
+#: Domain margin past the outermost centre at gamma <= 2, where the tails of
+#: every calibration solve die within it.
 DOMAIN_MARGIN = 15.0
 
 
-def default_solver_config(target: SuperpositionSpec, points: int = 4001) -> SolverConfig:
-    """Symmetric domain around the target's wells, margin enough for the tails to die."""
-    half = target.max_amplitude + DOMAIN_MARGIN
+def _probe_decay_rate(gamma: float) -> float:
+    """Lower bound on the tail decay rate of the shallowest well calibration solves.
+
+    That well has depth d = SCALE_BRACKET[0] * CURVATURE / gamma and exponent
+    k = gamma / 2, and its states decay like exp(-kappa x), kappa =
+    sqrt(2 (d - E)).  The Gaussian-trial variational energy bounds E above
+    (and below d), so kappa from it is a lower bound: at the optimal trial
+    t in (0, 1), t = (2 d / k) (1 - t^2)^2 and kappa^2 = d t (1 + t^2).
+    """
+    depth = SCALE_BRACKET[0] * CURVATURE / gamma
+    t = brentq(lambda t: t - 4.0 * depth / gamma * (1.0 - t * t) ** 2, 0.0, 1.0, xtol=1e-300)
+    return math.sqrt(depth * t * (1.0 + t * t))
+
+
+def default_solver_config(
+    target: SuperpositionSpec, points: int = 4001, gamma: float = 2.0
+) -> SolverConfig:
+    """Symmetric domain around the target's wells, wide enough for the tails to die.
+
+    The margin past the outermost centre is DOMAIN_MARGIN, stretched for
+    gamma > 2 by the ratio of the decay lengths 1/kappa at gamma and at 2.
+    """
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    kappa = _probe_decay_rate(gamma)
+    if not kappa > 0.0:
+        raise ValueError(f"gamma={gamma:g} leaves the wells too shallow for any finite domain")
+    half = target.max_amplitude + DOMAIN_MARGIN * max(1.0, _probe_decay_rate(2.0) / kappa)
     return SolverConfig(domain=(-half, half), points=points)
 
 
@@ -347,7 +373,8 @@ def calibrate_wells(
     inner/outer subproblem ground-energy difference, plus a fidelity polish
     of the full solve) so neighbouring-well tails cannot detune the wells
     and localize the ground state.  Every solve runs on ``cfg`` (default:
-    ``default_solver_config(target)``) in the target's parity sector.
+    ``default_solver_config(target, gamma=gamma)``) in the target's parity
+    sector.
     Centres closer than two position widths raise ValueError (wells merge).
     """
     if not target.is_symmetric() and not target.is_antisymmetric():
@@ -367,7 +394,7 @@ def calibrate_wells(
     if not balance or len(set(round(abs(c), 12) for c in centers)) < 2:
         return spec
 
-    cfg = cfg or default_solver_config(target)
+    cfg = cfg or default_solver_config(target, gamma=gamma)
     odd = target.is_antisymmetric()
     inner, outer = _group_indices(centers)
     e_outer = _subgroup_energy(spec, outer, cfg, odd)
@@ -375,7 +402,7 @@ def calibrate_wells(
     def detuning(s: float) -> float:
         return _subgroup_energy(_with_inner_scale(spec, inner, s), inner, cfg, odd) - e_outer
 
-    lo, hi = 0.5, 1.5
+    lo, hi = SCALE_BRACKET
     if detuning(lo) * detuning(hi) > 0.0:
         s_star = 1.0
     else:
@@ -406,10 +433,10 @@ def solve_well(
     """Calibrate, solve and score a well system for a target superposition.
 
     Calibration and the final solve share ``cfg`` (default:
-    ``default_solver_config(target)``) and the target's parity sector, so an
-    odd target gets the lowest odd state.
+    ``default_solver_config(target, gamma=gamma)``) and the target's parity
+    sector, so an odd target gets the lowest odd state.
     """
-    cfg = cfg or default_solver_config(target)
+    cfg = cfg or default_solver_config(target, gamma=gamma)
     spec = calibrate_wells(target, gamma=gamma, cfg=cfg, balance=balance)
     psi = _solve_potential(spec, cfg, target.is_antisymmetric())
     return spec, psi, fidelity(psi, target)

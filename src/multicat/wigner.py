@@ -41,6 +41,9 @@ __all__ = [
 #: |integral - 1| beyond which a field is flagged as missing probability mass.
 MASS_TOLERANCE = 1e-4
 
+#: q rows per GEMM in ``wigner_numeric``; a block's samples stay small beside the kernel.
+_Q_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
@@ -135,14 +138,7 @@ def wigner_closed_form(spec: SuperpositionSpec, grid: PhaseSpaceGrid) -> WignerF
             ripple = p_env * np.cos(ps * (mj - mk))
             w += weight * np.outer(q_gauss, ripple)
     w /= math.pi * n
-    mass = _trapz2d(w, grid.dq, grid.dp)
-    deficit = abs(mass - 1.0) > MASS_TOLERANCE
-    if deficit:
-        warnings.warn(
-            f"mass deficit: field integrates to {mass:.6g} on this grid",
-            stacklevel=2,
-        )
-    return WignerField(grid=grid, values=w, mass=mass, mass_deficit=deficit)
+    return _checked_field(grid, w)
 
 
 def wigner_numeric(
@@ -158,8 +154,11 @@ def wigner_numeric(
     1e-10 at both ends, otherwise ValueError (domain too small).  The
     x-integral runs over [-L, L] with L defaulting to the q-extent of the
     output grid; the integrand's Gaussian decay makes the trapezoidal rule
-    effectively exact at these tolerances.  The imaginary residue of the
-    transform is verified below 1e-9 and then discarded.
+    effectively exact at these tolerances; L and ``x_step`` must be positive
+    and finite.  The spline products of each block of ``_Q_BLOCK`` q rows are
+    one GEMM with a (nx, 2 np) kernel [cos px | sin px] built once, so memory
+    holds the kernel, the field and one block.  The sine half, the imaginary
+    residue, must stay below 1e-9 (ValueError).  Warns ``mass deficit``.
     """
     xs = np.asarray(xs, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -168,32 +167,34 @@ def wigner_numeric(
     scale = float(np.max(np.abs(psi)))
     if abs(psi[0]) > 1e-10 * max(scale, 1.0) or abs(psi[-1]) > 1e-10 * max(scale, 1.0):
         raise ValueError("domain too small: psi has not decayed at the boundary")
-
     if x_half_width is None:
         x_half_width = grid.q_max - grid.q_min
+    if not (0 < x_step < math.inf and 0 < x_half_width < math.inf):
+        raise ValueError("x_step and x_half_width must be positive and finite")
     nx = 2 * int(math.ceil(x_half_width / x_step)) + 1
     xg = np.linspace(-x_half_width, x_half_width, nx)
-    hx = xg[1] - xg[0]
-
-    interp = CubicSpline(xs, psi, extrapolate=False)
-
-    def sample(points: np.ndarray) -> np.ndarray:
-        vals = interp(points)
-        return np.nan_to_num(vals, nan=0.0)
-
-    ps = grid.ps()
-    qs = grid.qs()
-    cosm = np.cos(np.outer(ps, xg))
-    sinm = np.sin(np.outer(ps, xg))
+    half, hx = 0.5 * xg, xg[1] - xg[0]
     trap_w = np.full(nx, hx)
     trap_w[0] = trap_w[-1] = 0.5 * hx
+    interp = CubicSpline(xs, psi, extrapolate=False)
 
-    w = np.empty((grid.nq, grid.np))
+    npts = grid.np
+    kern = np.empty((nx, 2 * npts))
+    np.multiply.outer(xg, grid.ps(), out=kern[:, npts:])
+    np.cos(kern[:, npts:], out=kern[:, :npts])
+    np.sin(kern[:, npts:], out=kern[:, npts:])
+    qs = grid.qs()
+    w = np.empty((grid.nq, npts))
     max_imag = 0.0
-    for i, q in enumerate(qs):
-        prod = sample(q + 0.5 * xg) * sample(q - 0.5 * xg) * trap_w
-        w[i, :] = cosm @ prod
-        max_imag = max(max_imag, float(np.max(np.abs(sinm @ prod))))
+    for i in range(0, grid.nq, _Q_BLOCK):
+        q = qs[i : i + _Q_BLOCK, None]
+        prod = np.nan_to_num(interp(q + half), nan=0.0, copy=False)
+        prod *= np.nan_to_num(interp(q - half), nan=0.0, copy=False)
+        prod *= trap_w
+        res = prod @ kern
+        w[i : i + _Q_BLOCK] = res[:, :npts]
+        max_imag = max(max_imag, float(np.max(np.abs(res[:, npts:]))))
+        del prod, res  # free this block before the next one is sampled
     w /= 2.0 * math.pi
     max_imag /= 2.0 * math.pi
     if max_imag >= 1e-9:
@@ -201,7 +202,16 @@ def wigner_numeric(
             f"imaginary residue {max_imag:.3e} exceeds 1e-9; input is not a valid"
             " real wavefunction sample"
         )
-    return WignerField(grid=grid, values=w)
+    return _checked_field(grid, w)
+
+
+def _checked_field(grid: PhaseSpaceGrid, w: np.ndarray) -> WignerField:
+    """Field of ``w``; warns ``mass deficit`` when its mass is off by over MASS_TOLERANCE."""
+    mass = _trapz2d(w, grid.dq, grid.dp)
+    deficit = abs(mass - 1.0) > MASS_TOLERANCE
+    if deficit:
+        warnings.warn(f"mass deficit: field integrates to {mass:.6g} on this grid", stacklevel=3)
+    return WignerField(grid=grid, values=w, mass=mass, mass_deficit=deficit)
 
 
 def _trapz2d(values: np.ndarray, dq: float, dp: float) -> float:

@@ -140,6 +140,11 @@ class TestRuns:
         assert rc == 1
         assert "truncation too small" in capsys.readouterr().err
 
+    def test_cancelling_fock_sum_is_runtime_error(self, tmp_path, capsys):
+        argv = ["pnd", "--amps=-1e-4,0,1e-4", "--coeffs=1,-2,1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "captured mass" in capsys.readouterr().err
+
     def test_well_report_fields(self, tmp_path):
         rc = cli.main(
             ["well", "--preset", "even-cat(2)", "--points", "2001", "--out", str(tmp_path)]
@@ -181,6 +186,13 @@ class TestRuns:
             for key, g in grids.items()
         }
         assert report["depth_scales"] == scales["domain"] != scales["default"]
+
+    @pytest.mark.parametrize("gamma", ["4", "6"])
+    def test_shallow_wells_fit_the_default_domain(self, tmp_path, gamma):
+        rc = cli.main(["well", "--preset", "Y2", "--gamma", gamma, "--out", str(tmp_path)])
+        assert rc == 0
+        psi = np.loadtxt(tmp_path / "well_wavefunction.csv", delimiter=",", skiprows=1)[:, 1]
+        assert max(abs(psi[0]), abs(psi[-1])) <= wellsolver.BOUNDARY_DECAY * np.max(np.abs(psi))
 
     def test_well_comb_case_peak_locations(self, tmp_path):
         rc = cli.main(["well", "--preset", "Y3", "--out", str(tmp_path)])

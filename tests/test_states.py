@@ -219,6 +219,19 @@ class TestFockAmplitudes:
         with pytest.raises(ValueError, match="truncation too small"):
             states.fock_amplitudes(spec, 130)
 
+    @pytest.mark.parametrize("h", [1e-4, 1e-3])
+    def test_cancelling_second_difference_refused(self, h):
+        # |-h> - 2|0> + |h> has N ~ 3 h^4 from O(h^2) terms
+        spec = states.SuperpositionSpec(terms=((-h, 1.0), (0.0, -2.0), (h, 1.0)))
+        with pytest.raises(ValueError, match="captured mass"):
+            states.fock_amplitudes(spec, 64)
+
+    @pytest.mark.parametrize("name", ["odd-cat(1e-8)", "Y1", "Y2", "Y3", "odd-cat(3)"])
+    def test_captured_mass_contract_accepted(self, name):
+        spec = states.preset(name)
+        exp = states.fock_amplitudes(spec, states.min_fock_truncation(spec))
+        assert abs(exp.captured_mass - 1.0) <= states.TRUNCATION_TOLERANCE
+
     @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
     def test_tail_mass_below_tolerance(self, name):
         spec = states.preset(name)

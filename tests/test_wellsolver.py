@@ -195,6 +195,31 @@ class TestCalibration:
         with pytest.raises(ValueError, match="gamma"):
             ws.calibrate_wells(states.preset("Y1"), gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf"), 1e200])
+    def test_bad_gamma_rejected_by_default_domain(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            ws.default_solver_config(states.preset("Y1"), gamma=gamma)
+
+    def test_default_domain_margin(self):
+        # fixed at gamma <= 2, then growing with the decay length of shallower wells
+        target = states.preset("Y1")
+        for gamma in (0.5, 1.0, 2.0):
+            assert ws.default_solver_config(target, gamma=gamma).domain == (-22.0, 22.0)
+        ends = [ws.default_solver_config(target, gamma=g).domain[1] for g in (2, 3, 4, 6, 8)]
+        assert all(a < b for a, b in zip(ends, ends[1:]))
+
+    @pytest.mark.parametrize("gamma", [3.0, 4.0, 5.0, 6.0, 8.0])
+    @pytest.mark.parametrize("target", [
+        states.preset("Y1"),
+        states.preset("odd-cat(2)"),
+        states.SuperpositionSpec(terms=((4.0, 1.0), (-4.0, -1.0), (7.0, 1.0), (-7.0, -1.0))),
+    ], ids=["Y1", "odd-cat(2)", "odd-4-7"])
+    def test_shallow_wells_fit_the_default_domain(self, target, gamma):
+        # the half-depth calibration probe of the inner pair has the longest tail
+        _, psi, _ = ws.solve_well(target, gamma=gamma)
+        v = np.abs(psi.values)
+        assert max(v[0], v[-1]) <= ws.BOUNDARY_DECAY * v.max()
+
     def test_vacuum_single_well(self):
         spec = ws.calibrate_wells(states.preset("vacuum"))
         assert spec.centers == (0.0,)

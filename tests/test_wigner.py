@@ -1,10 +1,12 @@
 """Wigner fields: kernels, closed form vs direct transform, integrals, bounds."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from multicat import states, wigner
 
@@ -23,6 +25,26 @@ def vacuum_transform_oracle(q, p):
         -((q - x / 2) ** 2)
     )
     return float(np.real(np.trapezoid(integrand, x)) / (2.0 * math.pi))
+
+
+def per_row_reference(xs, psi, grid):
+    """The quadrature one q row at a time, x step 0.02 over the grid's q-extent."""
+    half_width = grid.q_max - grid.q_min
+    nx = 2 * int(math.ceil(half_width / 0.02)) + 1
+    xg = np.linspace(-half_width, half_width, nx)
+    hx = xg[1] - xg[0]
+    interp = CubicSpline(xs, psi, extrapolate=False)
+
+    def sample(points):
+        return np.nan_to_num(interp(points), nan=0.0)
+
+    cosm = np.cos(np.outer(grid.ps(), xg))
+    trap_w = np.full(nx, hx)
+    trap_w[0] = trap_w[-1] = 0.5 * hx
+    w = np.empty((grid.nq, grid.np))
+    for i, q in enumerate(grid.qs()):
+        w[i, :] = cosm @ (sample(q + 0.5 * xg) * sample(q - 0.5 * xg) * trap_w)
+    return w / (2.0 * math.pi)
 
 
 class TestCrossKernel:
@@ -139,6 +161,54 @@ class TestNumericTransform:
         grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 41, 41)
         with pytest.raises(ValueError, match="domain too small"):
             wigner.wigner_numeric(xs, psi, grid)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"x_step": v} for v in (0.0, -0.02, math.inf, math.nan)]
+        + [{"x_half_width": v} for v in (0.0, -1.0, math.inf, math.nan)],
+    )
+    def test_bad_quadrature_inputs_rejected(self, kwargs):
+        xs, psi = sampled_wavefunction(states.preset("Y3"), n=2001)
+        grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
+        with pytest.raises(ValueError, match="positive and finite"):
+            wigner.wigner_numeric(xs, psi, grid, **kwargs)
+
+    def test_lost_mass_is_flagged(self):
+        spec = states.preset("Y3")
+        xs, psi = sampled_wavefunction(spec, n=2001)
+        grid = wigner.default_grid(spec, 61, 41)
+        with pytest.warns(UserWarning, match="mass deficit"):
+            fld = wigner.wigner_numeric(xs, psi, grid, x_half_width=0.001)
+        assert fld.mass_deficit
+        assert fld.mass < 0.01
+
+
+class TestBlockedTransform:
+    @pytest.mark.filterwarnings("ignore:mass deficit")  # nq = 2 cannot integrate the field
+    @pytest.mark.parametrize("name", ["Y3", "odd-cat(3)"])
+    @pytest.mark.parametrize("nq", [2, 63, 64, 65, 601])
+    def test_matches_per_row_reference(self, name, nq):
+        # 64 q rows per block: single-row, partial, exact and overflowing blocks
+        spec = states.preset(name)
+        xs, psi = sampled_wavefunction(spec, n=2001)
+        grid = wigner.default_grid(spec, nq, 41)
+        got = wigner.wigner_numeric(xs, psi, grid)
+        assert np.max(np.abs(got.values - per_row_reference(xs, psi, grid))) <= 1e-14
+
+    def test_peak_memory_is_kernel_plus_field(self):
+        # materialising the (nq, nx) product matrix adds tens of MB on this grid
+        spec = states.preset("Y1")
+        xs, psi = sampled_wavefunction(spec)
+        grid = wigner.default_grid(spec)
+        nx = 2 * int(math.ceil((grid.q_max - grid.q_min) / 0.02)) + 1
+        kernel_and_field = 8 * (nx * 2 * grid.np + grid.nq * grid.np)
+        tracemalloc.start()
+        try:
+            wigner.wigner_numeric(xs, psi, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * kernel_and_field
 
 
 class TestIntegrals:
