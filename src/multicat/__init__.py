@@ -41,9 +41,7 @@ from .photon import (
 from .wellsolver import (
     DiscretizedWavefunction,
     SolverConfig,
-    TridiagonalOperator,
     WellPotentialSpec,
-    build_hamiltonian,
     calibrate_wells,
     default_solver_config,
     fidelity,

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,32 +52,20 @@ class RunConfig:
     gamma: float = 2.0
 
 
-def _parse_range(text: str) -> Tuple[float, float, int]:
+def _parse_bounds(text: str, fields: int) -> tuple:
+    """``min:max`` (2 fields) or ``min:max:count`` (3 fields): finite, min < max, count >= 2."""
+    form = ":".join(("min", "max", "count")[:fields])
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"range must be min:max:count, got {text!r}")
+    if len(parts) != fields:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, *count = float(parts[0]), float(parts[1]), *map(int, parts[2:])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed range {text!r}")
-    if not -math.inf < lo < hi < math.inf or count < 2:
-        raise argparse.ArgumentTypeError(
-            f"range must be finite with min < max, count >= 2: {text!r}"
-        )
-    return lo, hi, count
-
-
-def _parse_domain(text: str) -> Tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"domain must be min:max, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed domain {text!r}")
-    if not -math.inf < lo < hi < math.inf:
-        raise argparse.ArgumentTypeError(f"domain must be finite with min < max: {text!r}")
-    return lo, hi
+        raise argparse.ArgumentTypeError(f"malformed {form} {text!r}")
+    if not -math.inf < lo < hi < math.inf or any(n < 2 for n in count):
+        rule = "finite min < max" + (", count >= 2" if count else "")
+        raise argparse.ArgumentTypeError(f"{form} needs {rule}: {text!r}")
+    return (lo, hi, *count)
 
 
 def _parse_floats(text: str) -> Tuple[float, ...]:
@@ -111,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Phase-space and photon statistics of coherent-state superpositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parse_range = partial(_parse_bounds, fields=3)
+    parse_domain = partial(_parse_bounds, fields=2)
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} analysis")
         p.add_argument("--preset", action="append", default=None,
@@ -119,12 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated coherent amplitudes")
         p.add_argument("--coeffs", type=_parse_floats, default=None,
                        help="comma-separated coefficients (defaults to ones)")
-        p.add_argument("--qrange", type=_parse_range, default=None, metavar="MIN:MAX:COUNT")
-        p.add_argument("--prange", type=_parse_range, default=None, metavar="MIN:MAX:COUNT")
+        p.add_argument("--qrange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
+        p.add_argument("--prange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
         p.add_argument("--nmax", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--points", type=int, default=4001, help="solver grid points")
-        p.add_argument("--domain", type=_parse_domain, default=None, metavar="MIN:MAX")
+        p.add_argument("--domain", type=parse_domain, default=None, metavar="MIN:MAX")
         p.add_argument("--gamma", type=float, default=2.0, help="well shape parameter")
     return parser
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "SuperpositionSpec",
@@ -181,8 +181,9 @@ def min_fock_truncation(spec: SuperpositionSpec) -> int:
 def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
     """Fock-basis amplitudes a_n = N^(-1/2) sum_j c_j e^(-mu_j^2/2) mu_j^n / sqrt(n!).
 
-    Factorials are handled through log-gamma so large photon numbers do not
-    overflow.  ``nmax`` below the truncation rule raises ValueError, and so
+    Each term is summed from log space, -mu^2/2 + n log|mu| - log(n!)/2 with
+    0 log 0 = 0, so large photon numbers do not overflow and mu = 0 gives
+    the vacuum.  ``nmax`` below the truncation rule raises ValueError, and so
     does a sum that cancels so far that the captured mass misses one by more
     than ``TRUNCATION_TOLERANCE``.
     """
@@ -197,14 +198,9 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
     for m, c in spec.terms:
         if c == 0.0:
             continue
-        if m == 0.0:
-            contrib = np.zeros(nmax + 1)
-            contrib[0] = c
-        else:
-            logs = -0.5 * m * m + ns * math.log(abs(m)) - log_fact_half
-            contrib = c * np.exp(logs)
-            if m < 0.0:
-                contrib[1::2] *= -1.0
+        contrib = c * np.exp(-0.5 * m * m + xlogy(ns, abs(m)) - log_fact_half)
+        if m < 0.0:
+            contrib[1::2] *= -1.0
         total += contrib
     expansion = FockExpansion(amplitudes=total / math.sqrt(normalization(spec)), nmax=int(nmax))
     if abs(expansion.captured_mass - 1.0) > TRUNCATION_TOLERANCE:

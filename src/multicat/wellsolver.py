@@ -5,7 +5,8 @@ centres,
 
     V(x) = sum_c s_c * Vg(x - c) - Vg(0),    Vg(x) = -V0 exp(-g x^2 / (2 s^2)),
 
-discretized with the three-point stencil (hbar = m = 1, Dirichlet ends)
+sampled on the solver grid and discretized by ``ground_state`` alone with
+the three-point stencil (hbar = m = 1, Dirichlet ends)
 
     H[i, i]   = 1/dx^2 + V_i,
     H[i, i+1] = H[i+1, i] = -1/(2 dx^2),
@@ -16,7 +17,8 @@ solved on one half of the grid in the requested parity sector: the even
 sector keeps the centre row and scales its coupling by sqrt(2), the odd
 sector drops it (psi(0) = 0).  A solution that has not decayed to 1e-10 of
 its peak at both grid ends is refused (ValueError), as in
-``wigner.wigner_numeric``.
+``wigner.wigner_numeric``, and so is a well grid whose step exceeds
+MAX_STEP_FRACTION of the narrower of the well and coherent widths.
 
 ``calibrate_wells`` picks well parameters for a target superposition:
 the local curvature V0 * gamma / sigma^2 is pinned so each well's ground
@@ -43,9 +45,7 @@ __all__ = [
     "WellPotentialSpec",
     "SolverConfig",
     "DiscretizedWavefunction",
-    "TridiagonalOperator",
     "potential",
-    "build_hamiltonian",
     "ground_state",
     "calibrate_wells",
     "fidelity",
@@ -72,16 +72,13 @@ class WellPotentialSpec:
     """Sum-of-Gaussian-wells potential description.
 
     ``depth_scales`` optionally multiplies each well's depth; the default
-    of all ones is the plain equal-depth form.  ``include_center_offset``
-    adds the constant +V0 so that V(0) would vanish for a single origin
-    well; it shifts eigenvalues but not eigenvectors.
+    of all ones is the plain equal-depth form.
     """
 
     centers: Tuple[float, ...]
     v0: float
     gamma: float
     sigma: float = 1.0
-    include_center_offset: bool = True
     depth_scales: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
@@ -157,59 +154,10 @@ def potential(spec: WellPotentialSpec, x) -> np.ndarray | float:
     out = np.zeros_like(xa)
     for c, s in zip(spec.centers, spec.scales):
         out = out - s * spec.v0 * np.exp(-k * (xa - c) ** 2)
-    if spec.include_center_offset:
-        out = out + spec.v0
+    out = out + spec.v0
     if np.isscalar(x) or xa.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Symmetric tridiagonal matrix stored as its diagonal and off-diagonal."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.off, dtype=float)
-        if d.ndim != 1 or e.shape != (d.size - 1,):
-            raise ValueError("off-diagonal must be one shorter than the diagonal")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "off", e)
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out
-
-
-def build_hamiltonian(v_samples: np.ndarray, dx: float) -> TridiagonalOperator:
-    """Three-point discretization of -1/2 d^2/dx^2 + V with Dirichlet ends."""
-    v = np.asarray(v_samples, dtype=float)
-    if v.ndim != 1 or v.size < 3:
-        raise ValueError("need at least three potential samples")
-    if dx <= 0:
-        raise ValueError("dx must be positive")
-    inv = 1.0 / (dx * dx)
-    diag = inv + v
-    off = np.full(v.size - 1, -0.5 * inv)
-    return TridiagonalOperator(diag=diag, off=off)
-
-
-def _is_symmetric_operator(h: TridiagonalOperator, rtol: float = 1e-9) -> bool:
-    d, e = h.diag, h.off
-    scale = max(1.0, float(np.max(np.abs(d))))
-    return bool(
-        np.all(np.abs(d - d[::-1]) <= rtol * scale)
-        and np.all(np.abs(e - e[::-1]) <= rtol * scale)
-    )
 
 
 #: Largest |psi| allowed at either grid end, relative to max |psi|; the same
@@ -218,38 +166,46 @@ BOUNDARY_DECAY = 1e-10
 
 
 def ground_state(
-    h: TridiagonalOperator, cfg: SolverConfig, odd: bool = False
+    v_samples: np.ndarray, cfg: SolverConfig, odd: bool = False
 ) -> DiscretizedWavefunction:
-    """Lowest eigenpair of ``h``, or of its odd sector when ``odd``, by LAPACK.
+    """Lowest eigenpair of -1/2 d^2/dx^2 + V on ``cfg``'s grid, by LAPACK.
 
-    A reflection-symmetric ``h`` is folded onto the half grid x >= 0 about
-    the centre index m, so the solve cannot mix the parities of a
-    near-degenerate tunnelling doublet.  The even sector takes rows m, m+1,
-    ... with the first coupling scaled by sqrt(2), and its solution's first
-    component is scaled back by sqrt(2); the odd sector takes rows m+1, ...
-    (psi(0) = 0).  The half solution is mirrored with the sector's sign and
-    made positive in sum over the solved half.  An asymmetric ``h`` is
-    solved on the full grid and has no odd sector (ValueError).  A solution
-    that has not decayed to BOUNDARY_DECAY of its peak at either grid end
-    raises ValueError: the domain cuts the state off.  The result records
-    one iteration (one LAPACK call) and its full-grid residual.
+    ``v_samples`` is V on ``cfg.xs()``; the three-point stencil (module
+    docstring) is built here and nowhere else.  A reflection-symmetric
+    stencil, |H[i, i] - H[n-1-i, n-1-i]| <= 1e-9 max(1, max |H[i, i]|), is
+    folded onto the half grid x >= 0 about the centre index m, so the solve
+    cannot mix the parities of a near-degenerate tunnelling doublet.  The
+    even sector takes rows m, m+1, ... with the first coupling scaled by
+    sqrt(2), and its solution's first component is scaled back by sqrt(2);
+    the odd sector (``odd``) takes rows m+1, ... (psi(0) = 0).  The half
+    solution is mirrored with the sector's sign and made positive in sum
+    over the solved half.  An asymmetric V is solved on the full grid and
+    has no odd sector (ValueError).  A solution that has not decayed to
+    BOUNDARY_DECAY of its peak at either grid end raises ValueError: the
+    domain cuts the state off.  The result records one iteration (one LAPACK
+    call) and its full-grid residual.
     """
-    n = h.size
-    if n != cfg.points:
-        raise ValueError("operator size does not match solver grid")
     xs = cfg.xs()
+    v_samples = np.asarray(v_samples, dtype=float)
+    if v_samples.shape != xs.shape:
+        raise ValueError(
+            f"potential samples of shape {v_samples.shape} do not match the"
+            f" {cfg.points}-point solver grid"
+        )
+    n = xs.size
     dx = float(xs[1] - xs[0])
-    symmetric = _is_symmetric_operator(h)
+    inv = 1.0 / (dx * dx)
+    diag, off = inv + v_samples, -0.5 * inv
+    scale = max(1.0, float(np.max(np.abs(diag))))
+    symmetric = bool(np.all(np.abs(diag - diag[::-1]) <= 1e-9 * scale))
     if odd and not symmetric:
-        raise ValueError("the odd sector needs a reflection-symmetric operator")
+        raise ValueError("the odd sector needs a reflection-symmetric potential")
 
-    d, e = h.diag, h.off
-    if symmetric:
-        start = n // 2 + (1 if odd else 0)
-        d, e = d[start:], e[start:].copy()
-        if not odd:
-            e[0] *= math.sqrt(2.0)
-    energies, vectors = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    start = n // 2 + int(odd) if symmetric else 0
+    e = np.full(n - 1 - start, off)
+    if symmetric and not odd:
+        e[0] *= math.sqrt(2.0)
+    energies, vectors = eigh_tridiagonal(diag[start:], e, select="i", select_range=(0, 0))
     energy, u = float(energies[0]), vectors[:, 0]
     if float(np.sum(u)) < 0.0:
         u = -u
@@ -267,7 +223,10 @@ def ground_state(
             "domain too small: the solution has not decayed at the boundary"
             f" [{cfg.domain[0]:g}, {cfg.domain[1]:g}]"
         )
-    resid = math.sqrt(float(np.sum((h.matvec(v) - energy * v) ** 2)) * dx)
+    hv = diag * v
+    hv[:-1] += off * v[1:]
+    hv[1:] += off * v[:-1]
+    resid = math.sqrt(float(np.sum((hv - energy * v) ** 2)) * dx)
     return DiscretizedWavefunction(
         xs=xs, values=v, energy=energy, iterations=1, residual=resid
     )
@@ -309,12 +268,24 @@ def default_solver_config(
     return SolverConfig(domain=(-half, half), points=points)
 
 
+#: Widest grid step allowed, as a fraction of the narrower of a well's
+#: Gaussian width sigma / sqrt(gamma) and the coherent position width 1/2.
+MAX_STEP_FRACTION = 0.5
+
+
 def _solve_potential(
     spec: WellPotentialSpec, cfg: SolverConfig, odd: bool
 ) -> DiscretizedWavefunction:
+    """Ground state of ``spec`` on ``cfg``, refused when the grid cannot resolve a well."""
     xs = cfg.xs()
-    h = build_hamiltonian(potential(spec, xs), float(xs[1] - xs[0]))
-    return ground_state(h, cfg, odd)
+    dx = float(xs[1] - xs[0])
+    limit = MAX_STEP_FRACTION * min(spec.sigma / math.sqrt(spec.gamma), 0.5)
+    if dx > limit:
+        raise ValueError(
+            f"grid too coarse: step {dx:.3g} exceeds {limit:.3g}, half the well"
+            f" width at gamma={spec.gamma:g}; raise --points or narrow the domain"
+        )
+    return ground_state(potential(spec, xs), cfg, odd)
 
 
 def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
@@ -362,7 +333,6 @@ def calibrate_wells(
     target: SuperpositionSpec,
     gamma: float = 2.0,
     cfg: Optional[SolverConfig] = None,
-    balance: bool = True,
 ) -> WellPotentialSpec:
     """Well parameters whose ground state approximates the target superposition.
 
@@ -391,7 +361,7 @@ def calibrate_wells(
         raise ValueError("gamma must be positive and finite")
     v0 = CURVATURE / gamma
     spec = WellPotentialSpec(centers=centers, v0=v0, gamma=gamma, sigma=1.0)
-    if not balance or len(set(round(abs(c), 12) for c in centers)) < 2:
+    if len(set(round(abs(c), 12) for c in centers)) < 2:
         return spec
 
     cfg = cfg or default_solver_config(target, gamma=gamma)
@@ -428,7 +398,6 @@ def solve_well(
     target: SuperpositionSpec,
     gamma: float = 2.0,
     cfg: Optional[SolverConfig] = None,
-    balance: bool = True,
 ) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
     """Calibrate, solve and score a well system for a target superposition.
 
@@ -437,6 +406,6 @@ def solve_well(
     sector, so an odd target gets the lowest odd state.
     """
     cfg = cfg or default_solver_config(target, gamma=gamma)
-    spec = calibrate_wells(target, gamma=gamma, cfg=cfg, balance=balance)
+    spec = calibrate_wells(target, gamma=gamma, cfg=cfg)
     psi = _solve_potential(spec, cfg, target.is_antisymmetric())
     return spec, psi, fidelity(psi, target)

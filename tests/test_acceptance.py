@@ -184,7 +184,7 @@ def test_criterion_7_envelope_derivative():
 
 def _well_pipeline_case(name):
     target = states.preset(name)
-    well_spec, psi, fid = ws.solve_well(target, gamma=2.0, balance=True)
+    well_spec, psi, fid = ws.solve_well(target, gamma=2.0)
 
     asym = float(np.max(np.abs(psi.values - psi.values[::-1])))
     assert asym <= 1e-8, f"{name}: parity asymmetry {asym:.2e}"
@@ -220,9 +220,7 @@ def _well_pipeline_case(name):
 def test_criterion_8_well_pipeline():
     start = time.time()
     cfg = ws.SolverConfig(domain=(-10.0, 10.0), points=4001)
-    xs = cfg.xs()
-    h = ws.build_hamiltonian(2.0 * xs**2, float(xs[1] - xs[0]))
-    bench = ws.ground_state(h, cfg)
+    bench = ws.ground_state(2.0 * cfg.xs() ** 2, cfg)
     assert abs(bench.energy - 1.0) <= 1e-4
     fidelities = {}
     for name in ["Y1", "Y2", "Y3"]:

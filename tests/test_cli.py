@@ -90,6 +90,18 @@ class TestParsing:
             parse(["wigner", "--preset", "Y1", flag, value])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--qrange", "1:2"), ("--qrange", "1:2:3:4"), ("--qrange", "a:2:5"),
+        ("--qrange", "1:2:3.5"), ("--qrange", "2:1:5"), ("--qrange", "1:1:5"),
+        ("--qrange", "1:2:1"), ("--qrange", "-inf:2:5"), ("--prange", "1:nan:5"),
+        ("--domain", "1"), ("--domain", "1:2:3"), ("--domain", "x:2"), ("--domain", "3:-3"),
+        ("--domain", "0:0"), ("--domain", "0:inf"), ("--domain", ""),
+    ])
+    def test_bad_bounds_exit_2(self, flag, value):
+        with pytest.raises(SystemExit) as err:
+            parse(["well", "--preset", "Y1", f"{flag}={value}"])
+        assert err.value.code == 2
+
     def test_coeff_length_mismatch(self):
         with pytest.raises(SystemExit) as err:
             parse(["pnd", "--amps", "1,2", "--coeffs", "1"])
@@ -193,6 +205,26 @@ class TestRuns:
         assert rc == 0
         psi = np.loadtxt(tmp_path / "well_wavefunction.csv", delimiter=",", skiprows=1)[:, 1]
         assert max(abs(psi[0]), abs(psi[-1])) <= wellsolver.BOUNDARY_DECAY * np.max(np.abs(psi))
+
+    @pytest.mark.parametrize("argv", [
+        ["--gamma", "50"], ["--gamma", "20"], ["--domain=-700:700"],
+    ], ids=["gamma-50", "gamma-20", "wide-domain"])
+    def test_grid_too_coarse_is_runtime_error(self, tmp_path, capsys, argv):
+        rc = cli.main(["well", "--preset", "Y1", *argv, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "grid too coarse" in err and "--points" in err
+        assert not (tmp_path / "well_report.txt").exists()
+
+    @pytest.mark.parametrize("argv,gamma", [
+        (["--gamma", "50", "--points", "40001"], 50.0), (["--domain=-400:400"], 2.0),
+    ], ids=["gamma-50-fine", "wide-domain-gamma-2"])
+    def test_grid_fine_enough_is_solved(self, tmp_path, argv, gamma):
+        assert cli.main(["well", "--preset", "Y1", *argv, "--out", str(tmp_path)]) == 0
+        report = dict(
+            line.split("=", 1) for line in (tmp_path / "well_report.txt").read_text().splitlines()
+        )
+        assert float(report["grid_step"]) <= 0.5 * min(gamma**-0.5, 0.5)
 
     def test_well_comb_case_peak_locations(self, tmp_path):
         rc = cli.main(["well", "--preset", "Y3", "--out", str(tmp_path)])

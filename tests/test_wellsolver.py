@@ -1,4 +1,4 @@
-"""Finite-difference Hamiltonian, parity-folded ground states, well calibration."""
+"""Finite-difference ground states, parity folding, well calibration."""
 
 import math
 
@@ -11,15 +11,24 @@ from multicat import states, wellsolver as ws
 def harmonic_problem(points=2001, half=10.0, omega=2.0):
     cfg = ws.SolverConfig(domain=(-half, half), points=points)
     xs = cfg.xs()
-    h = ws.build_hamiltonian(0.5 * omega * omega * xs**2, float(xs[1] - xs[0]))
-    return cfg, xs, h
+    return cfg, xs, 0.5 * omega * omega * xs**2
+
+
+def dense_hamiltonian(v, cfg):
+    """-1/2 d^2/dx^2 + V as a dense matrix: second difference on cfg's grid, Dirichlet ends."""
+    xs = cfg.xs()
+    dx = float(xs[1] - xs[0])
+    lap = (np.diag(np.ones(xs.size - 1), 1) + np.diag(np.ones(xs.size - 1), -1)
+           - 2.0 * np.eye(xs.size)) / dx**2
+    return -0.5 * lap + np.diag(v)
 
 
 class TestPotential:
     def test_single_well_centre_value(self):
-        spec = ws.WellPotentialSpec(centers=(0.0,), v0=3.0, gamma=2.0, sigma=1.0,
-                                    include_center_offset=False)
-        assert ws.potential(spec, 0.0) == pytest.approx(-3.0, rel=1e-14)
+        # the +V0 offset cancels a lone unit well's depth at its centre
+        spec = ws.WellPotentialSpec(centers=(0.0,), v0=3.0, gamma=2.0, sigma=1.0)
+        assert ws.potential(spec, 0.0) == 0.0
+        assert ws.potential(spec, 10.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_offset_cancels_depth_at_isolated_centre(self):
         spec = ws.WellPotentialSpec(centers=(-7.0, -4.0, 4.0, 7.0), v0=3.0, gamma=2.0)
@@ -32,7 +41,7 @@ class TestPotential:
 
     @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
     def test_symmetry(self, name):
-        spec = ws.calibrate_wells(states.preset(name), balance=False)
+        spec = ws.calibrate_wells(states.preset(name))
         xs = np.linspace(-13.0, 13.0, 2001)
         # summation order differs between x and -x, so allow rounding noise
         assert np.max(np.abs(ws.potential(spec, xs) - ws.potential(spec, -xs))) < 1e-14
@@ -52,38 +61,30 @@ class TestPotential:
 
 
 class TestHamiltonian:
-    def test_free_particle_stencil(self):
-        h = ws.build_hamiltonian(np.zeros(3), 0.5)
-        assert np.allclose(h.diag, [4.0, 4.0, 4.0])
-        assert np.allclose(h.off, [-2.0, -2.0])
-
-    def test_matvec_matches_dense(self):
-        rng = np.random.default_rng(7)
-        d = rng.normal(size=9)
-        e = rng.normal(size=8)
-        h = ws.TridiagonalOperator(diag=d, off=e)
-        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        v = rng.normal(size=9)
-        assert np.allclose(h.matvec(v.copy()), dense @ v)
-
     def test_harmonic_ground_energy(self):
-        cfg, xs, h = harmonic_problem(points=2001)
-        psi = ws.ground_state(h, cfg)
+        cfg, xs, v = harmonic_problem(points=2001)
+        psi = ws.ground_state(v, cfg)
         assert psi.energy == pytest.approx(1.0, abs=2e-4)
 
     def test_second_order_convergence(self):
         errs = {}
         for n in (1001, 2001, 4001):
-            cfg, xs, h = harmonic_problem(points=n)
-            errs[n] = abs(ws.ground_state(h, cfg).energy - 1.0)
+            cfg, xs, v = harmonic_problem(points=n)
+            errs[n] = abs(ws.ground_state(v, cfg).energy - 1.0)
         assert errs[1001] / errs[2001] == pytest.approx(4.0, abs=0.3)
         assert errs[2001] / errs[4001] == pytest.approx(4.0, abs=0.3)
+
+    @pytest.mark.parametrize("shape", [(300,), (302,), (301, 1)])
+    def test_potential_grid_mismatch_rejected(self, shape):
+        cfg = ws.SolverConfig(domain=(-8.0, 8.0), points=301)
+        with pytest.raises(ValueError, match="301-point solver grid"):
+            ws.ground_state(np.zeros(shape), cfg)
 
 
 class TestGroundState:
     def test_harmonic_gaussian_width(self):
-        cfg, xs, h = harmonic_problem(points=4001)
-        psi = ws.ground_state(h, cfg)
+        cfg, xs, v = harmonic_problem(points=4001)
+        psi = ws.ground_state(v, cfg)
         var = float((psi.values**2 @ xs**2) * psi.dx)
         assert var == pytest.approx(0.25, abs=1e-5)
         assert psi.residual < 1e-8
@@ -94,10 +95,8 @@ class TestGroundState:
         cfg = ws.SolverConfig(domain=(-8.0, 8.0), points=301)
         xs = cfg.xs()
         v = 0.4 * xs**2 + 0.3 * np.cos(1.7 * xs)
-        h = ws.build_hamiltonian(v, float(xs[1] - xs[0]))
-        dense = np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
-        evals, evecs = np.linalg.eigh(dense)
-        psi = ws.ground_state(h, cfg)
+        evals, evecs = np.linalg.eigh(dense_hamiltonian(v, cfg))
+        psi = ws.ground_state(v, cfg)
         assert psi.energy == pytest.approx(float(evals[0]), abs=1e-10)
         ref = evecs[:, 0] / math.sqrt(float(evecs[:, 0] @ evecs[:, 0]) * psi.dx)
         overlap = abs(float((psi.values @ ref) * psi.dx))
@@ -106,19 +105,17 @@ class TestGroundState:
     def test_asymmetric_potential_supported(self):
         cfg = ws.SolverConfig(domain=(-9.0, 9.0), points=1501)
         xs = cfg.xs()
-        v = 2.0 * (xs - 0.8) ** 2
-        h = ws.build_hamiltonian(v, float(xs[1] - xs[0]))
-        psi = ws.ground_state(h, cfg)
+        psi = ws.ground_state(2.0 * (xs - 0.8) ** 2, cfg)
         centroid = float((psi.values**2 @ xs) * psi.dx)
         assert centroid == pytest.approx(0.8, abs=1e-6)
 
     def test_variational_bound(self):
-        cfg, xs, h = harmonic_problem(points=1001)
-        psi = ws.ground_state(h, cfg)
-        assert psi.energy >= float(np.min(0.5 * 4.0 * xs**2)) - 1e-12
+        cfg, xs, v = harmonic_problem(points=1001)
+        psi = ws.ground_state(v, cfg)
+        assert psi.energy >= float(np.min(v)) - 1e-12
         trial = np.exp(-0.4 * xs**2)
         trial /= math.sqrt(float(trial @ trial) * psi.dx)
-        rayleigh = float((trial @ h.matvec(trial)) * psi.dx)
+        rayleigh = float((trial @ dense_hamiltonian(v, cfg) @ trial) * psi.dx)
         assert psi.energy <= rayleigh + 1e-12
 
     def test_double_well_two_even_humps(self):
@@ -135,12 +132,12 @@ class TestGroundState:
         # half-grid solve must return dense eigenpair 0 (even) or 1 (odd)
         cfg = ws.SolverConfig(domain=(-8.0, 8.0), points=301)
         xs = cfg.xs()
-        h = ws.build_hamiltonian(0.05 * (xs**2 - 9.0) ** 2, float(xs[1] - xs[0]))
-        dense = np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
+        v = 0.05 * (xs**2 - 9.0) ** 2
+        dense = dense_hamiltonian(v, cfg)
         evals, evecs = np.linalg.eigh(dense)
         k = int(odd)
         assert evals[1] - evals[0] < 1e-2
-        psi = ws.ground_state(h, cfg, odd=odd)
+        psi = ws.ground_state(v, cfg, odd=odd)
         assert psi.energy == pytest.approx(float(evals[k]), abs=1e-10)
         ref = evecs[:, k] / math.sqrt(float(evecs[:, k] @ evecs[:, k]) * psi.dx)
         overlap = abs(float((psi.values @ ref) * psi.dx))
@@ -148,26 +145,25 @@ class TestGroundState:
         sign = -1.0 if odd else 1.0
         assert np.array_equal(psi.values, sign * psi.values[::-1])
         resid = float(
-            np.sqrt(np.sum((h.matvec(psi.values) - psi.energy * psi.values) ** 2) * psi.dx)
+            np.sqrt(np.sum((dense @ psi.values - psi.energy * psi.values) ** 2) * psi.dx)
         )
         assert psi.residual == pytest.approx(resid) and resid < 1e-9
 
     def test_asymmetric_potential_uses_full_grid(self):
         cfg = ws.SolverConfig(domain=(-6.0, 6.0), points=201)
         xs = cfg.xs()
-        h = ws.build_hamiltonian(2.0 * xs**2 + 0.5 * xs**3 / 6.0, float(xs[1] - xs[0]))
-        dense = np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
-        evals = np.linalg.eigvalsh(dense)
-        assert ws.ground_state(h, cfg).energy == pytest.approx(float(evals[0]), abs=1e-10)
+        v = 2.0 * xs**2 + 0.5 * xs**3 / 6.0
+        evals = np.linalg.eigvalsh(dense_hamiltonian(v, cfg))
+        assert ws.ground_state(v, cfg).energy == pytest.approx(float(evals[0]), abs=1e-10)
         with pytest.raises(ValueError, match="odd sector"):
-            ws.ground_state(h, cfg, odd=True)
+            ws.ground_state(v, cfg, odd=True)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_truncated_domain_rejected(self, odd):
         # omega = 2 ground state exp(-x^2) is still 1e-4 of its peak at |x| = 3
-        cfg, xs, h = harmonic_problem(points=301, half=3.0)
+        cfg, xs, v = harmonic_problem(points=301, half=3.0)
         with pytest.raises(ValueError, match="domain too small"):
-            ws.ground_state(h, cfg, odd=odd)
+            ws.ground_state(v, cfg, odd=odd)
 
     def test_even_point_count_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +172,7 @@ class TestGroundState:
 
 class TestCalibration:
     def test_first_case_geometry(self):
-        spec = ws.calibrate_wells(states.preset("Y1"), balance=False)
+        spec = ws.calibrate_wells(states.preset("Y1"))
         assert spec.centers == (-7.0, -4.0, 4.0, 7.0)
         assert spec.v0 * spec.gamma / spec.sigma**2 == pytest.approx(ws.CURVATURE)
 
@@ -220,6 +216,33 @@ class TestCalibration:
         v = np.abs(psi.values)
         assert max(v[0], v[-1]) <= ws.BOUNDARY_DECAY * v.max()
 
+    @pytest.mark.parametrize("gamma", [20.0, 50.0])
+    def test_grid_too_coarse_for_the_wells_refused(self, gamma, monkeypatch):
+        # default grid: step 0.146 at gamma 20 and 0.566 at gamma 50, against
+        # half the well width 0.112 and 0.0707; refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved on a grid that was to be refused")
+
+        monkeypatch.setattr(ws, "ground_state", no_solve)
+        for call in (ws.calibrate_wells, ws.solve_well):
+            with pytest.raises(ValueError, match="--points"):
+                call(states.preset("Y1"), gamma=gamma)
+
+    def test_single_well_grid_too_coarse_refused(self):
+        cfg = ws.SolverConfig(domain=(-20.0, 20.0), points=41)
+        with pytest.raises(ValueError, match="grid too coarse"):
+            ws.solve_well(states.preset("vacuum"), cfg=cfg)
+
+    @pytest.mark.parametrize("name,gamma,points", [
+        ("Y1", 50.0, 40001), ("Y1", 15.0, 4001), ("Y2", 15.0, 4001), ("Y3", 2.0, 401),
+    ])
+    def test_grid_fine_enough_for_the_wells_accepted(self, name, gamma, points):
+        target = states.preset(name)
+        cfg = ws.default_solver_config(target, points=points, gamma=gamma)
+        assert float(cfg.xs()[1] - cfg.xs()[0]) <= 0.5 * min(1.0 / math.sqrt(gamma), 0.5)
+        _, psi, fid = ws.solve_well(target, gamma=gamma, cfg=cfg)
+        assert 0.0 < fid <= 1.0 and psi.residual < 1e-8
+
     def test_vacuum_single_well(self):
         spec = ws.calibrate_wells(states.preset("vacuum"))
         assert spec.centers == (0.0,)
@@ -253,6 +276,6 @@ class TestFidelity:
         assert ws.fidelity(psi, spec) == pytest.approx(1.0, abs=1e-10)
 
     def test_harmonic_ground_state_is_vacuum(self):
-        cfg, xs, h = harmonic_problem(points=4001)
-        psi = ws.ground_state(h, cfg)
+        cfg, xs, v = harmonic_problem(points=4001)
+        psi = ws.ground_state(v, cfg)
         assert ws.fidelity(psi, states.preset("vacuum")) >= 0.999
