@@ -42,7 +42,6 @@ from .wellsolver import (
     DiscretizedWavefunction,
     SolverConfig,
     WellPotentialSpec,
-    calibrate_wells,
     default_solver_config,
     fidelity,
     ground_state,

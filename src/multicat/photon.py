@@ -218,15 +218,18 @@ def envelope_derivative(alpha: float, beta: float, n, include_interference: bool
     return _like(ns, scale * total)
 
 
+#: Absolute tolerance in n to which ``envelope_extrema`` locates each zero.
+EXTREMA_XTOL = 1e-10
+
+
 def envelope_extrema(
     alpha: float,
     beta: float,
     n_min: float,
     n_max: float,
     include_interference: bool = True,
-    tol: float = 1e-10,
 ) -> np.ndarray:
-    """Zeros of the envelope derivative in [n_min, n_max], located to ``tol``.
+    """Zeros of the envelope derivative in [n_min, n_max], located to EXTREMA_XTOL.
 
     The derivative is evaluated on a unit-step grid; each sign change is
     refined with Brent's method and each exact zero on the grid is kept.
@@ -237,7 +240,7 @@ def envelope_extrema(
 
     grid = np.append(np.arange(n_min, n_max, 1.0), n_max)
     sign = np.sign(envelope_derivative(alpha, beta, grid, include_interference))
-    roots = [brentq(deriv, grid[i], grid[i + 1], xtol=tol)
+    roots = [brentq(deriv, grid[i], grid[i + 1], xtol=EXTREMA_XTOL)
              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
     return np.sort(np.concatenate([grid[sign == 0.0], roots]))
 

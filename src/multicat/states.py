@@ -44,6 +44,9 @@ _AMP_NORM = (2.0 / math.pi) ** 0.25
 #: Fraction of the squared norm allowed beyond the Fock truncation.
 TRUNCATION_TOLERANCE = 1e-12
 
+#: Largest term mismatch against the mirrored term list that still counts as parity.
+PARITY_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
@@ -79,19 +82,19 @@ class SuperpositionSpec:
     def max_amplitude(self) -> float:
         return float(np.max(np.abs(self.amplitudes)))
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True if the term list is invariant under mu -> -mu."""
-        return self._matches_negated(sign=+1.0, tol=tol)
+        return self._matches_negated(sign=+1.0)
 
-    def is_antisymmetric(self, tol: float = 1e-12) -> bool:
+    def is_antisymmetric(self) -> bool:
         """True if negating every amplitude flips every coefficient's sign."""
-        return self._matches_negated(sign=-1.0, tol=tol)
+        return self._matches_negated(sign=-1.0)
 
-    def _matches_negated(self, sign: float, tol: float) -> bool:
+    def _matches_negated(self, sign: float) -> bool:
         want = sorted((-m, sign * c) for m, c in self.terms)
         have = sorted(self.terms)
         return all(
-            abs(a - b) <= tol and abs(x - y) <= tol
+            abs(a - b) <= PARITY_TOLERANCE and abs(x - y) <= PARITY_TOLERANCE
             for (a, x), (b, y) in zip(have, want)
         )
 

@@ -20,20 +20,21 @@ its peak at both grid ends is refused (ValueError), as in
 ``wigner.wigner_numeric``, and so is a well grid whose step exceeds
 MAX_STEP_FRACTION of the narrower of the well and coherent widths.
 
-``calibrate_wells`` picks well parameters for a target superposition:
-the local curvature V0 * gamma / sigma^2 is pinned so each well's ground
-mode has roughly the coherent-state position width, and the depths of
-the inner pair of wells are trimmed until the inner and outer well
-structures are degenerate, which keeps the ground state from localizing
-in whichever wells sit deeper due to neighbouring tails.  Odd targets are
-calibrated and solved in the odd sector.
+``solve_well`` is the well pipeline for a target superposition: it pins
+the local curvature V0 * gamma / sigma^2 so each well's ground mode has
+roughly the coherent-state position width, trims the inner wells' depth
+until the inner and outer well structures are degenerate (so the ground
+state cannot localize in whichever wells neighbouring tails deepen), and
+scores the ground state's fidelity, solving each well system once.  Odd
+targets are calibrated and solved in the odd sector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -47,7 +48,6 @@ __all__ = [
     "DiscretizedWavefunction",
     "potential",
     "ground_state",
-    "calibrate_wells",
     "fidelity",
     "solve_well",
     "default_solver_config",
@@ -60,7 +60,7 @@ __all__ = [
 #: Measured target fidelities across the built-in cases peak near this value.
 CURVATURE = 6.0
 
-#: Bracket of the inner-pair depth scale searched by ``calibrate_wells``.
+#: Inner-wells depth-scale bracket of ``solve_well``; brentq reuses its ends' solves.
 SCALE_BRACKET = (0.5, 1.5)
 
 #: Minimum allowed centre separation, two coherent-state position widths.
@@ -111,8 +111,8 @@ class SolverConfig:
 
     def __post_init__(self):
         lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError("domain must satisfy x_min < x_max")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("domain must be finite and satisfy x_min < x_max")
         if self.points < 3:
             raise ValueError("need at least three grid points")
         if self.points % 2 == 0:
@@ -300,52 +300,20 @@ def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
     return float((v @ t) * dx) ** 2
 
 
-def _group_indices(centers: Sequence[float]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Split centres into the inner and outer |amplitude| groups."""
-    mags = sorted({round(abs(c), 12) for c in centers})
-    inner_mag = mags[0]
-    inner = tuple(i for i, c in enumerate(centers) if round(abs(c), 12) == inner_mag)
-    outer = tuple(i for i in range(len(centers)) if i not in inner)
-    return inner, outer
-
-
-def _subgroup_energy(
-    spec: WellPotentialSpec, idx: Tuple[int, ...], cfg: SolverConfig, odd: bool
-) -> float:
-    sub = replace(
-        spec,
-        centers=tuple(spec.centers[i] for i in idx),
-        depth_scales=tuple(spec.scales[i] for i in idx),
-    )
-    return _solve_potential(sub, cfg, odd).energy
-
-
-def _with_inner_scale(
-    spec: WellPotentialSpec, inner: Tuple[int, ...], s: float
-) -> WellPotentialSpec:
-    scales = list(spec.scales)
-    for i in inner:
-        scales[i] = s
-    return replace(spec, depth_scales=tuple(scales))
-
-
-def calibrate_wells(
+def solve_well(
     target: SuperpositionSpec,
     gamma: float = 2.0,
     cfg: Optional[SolverConfig] = None,
-) -> WellPotentialSpec:
-    """Well parameters whose ground state approximates the target superposition.
+) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
+    """Calibrated wells for a target superposition, their ground state and its fidelity.
 
-    Centres are the target amplitudes; sigma = 1 and V0 = CURVATURE / gamma
-    fix each well's local harmonic curvature, so every local mode has a
-    position width close to the coherent-state width 1/2.  For four-centre
-    targets the inner pair's depth is then trimmed (a ``brentq`` root of the
-    inner/outer subproblem ground-energy difference, plus a fidelity polish
-    of the full solve) so neighbouring-well tails cannot detune the wells
-    and localize the ground state.  Every solve runs on ``cfg`` (default:
-    ``default_solver_config(target, gamma=gamma)``) in the target's parity
-    sector.
-    Centres closer than two position widths raise ValueError (wells merge).
+    Wells sit at the target amplitudes with sigma = 1 and V0 = CURVATURE /
+    gamma.  With more than one |amplitude| the inner wells' depth scale is
+    the ``brentq`` root of the inner/outer subproblem ground-energy
+    difference, polished on the full-problem fidelity.  Each well system is
+    solved once, on ``cfg`` (default: ``default_solver_config(target,
+    gamma=gamma)``) and in the target's parity sector.  Centres closer than
+    two position widths raise ValueError (wells merge).
     """
     if not target.is_symmetric() and not target.is_antisymmetric():
         raise ValueError("well calibration expects a symmetric-on-line target")
@@ -359,18 +327,26 @@ def calibrate_wells(
             )
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    v0 = CURVATURE / gamma
-    spec = WellPotentialSpec(centers=centers, v0=v0, gamma=gamma, sigma=1.0)
-    if len(set(round(abs(c), 12) for c in centers)) < 2:
-        return spec
-
+    spec = WellPotentialSpec(centers=centers, v0=CURVATURE / gamma, gamma=gamma, sigma=1.0)
     cfg = cfg or default_solver_config(target, gamma=gamma)
     odd = target.is_antisymmetric()
-    inner, outer = _group_indices(centers)
-    e_outer = _subgroup_energy(spec, outer, cfg, odd)
 
+    def solved(well: WellPotentialSpec):
+        psi = _solve_potential(well, cfg, odd)
+        return well, psi, fidelity(psi, target)
+
+    mags = [round(abs(c), 12) for c in centers]
+    inner_mag = min(mags)
+    if len(set(mags)) < 2:
+        return solved(spec)
+    inner = tuple(c for c, m in zip(centers, mags) if m == inner_mag)
+    outer = tuple(c for c, m in zip(centers, mags) if m != inner_mag)
+    e_outer = _solve_potential(replace(spec, centers=outer), cfg, odd).energy
+
+    @functools.cache
     def detuning(s: float) -> float:
-        return _subgroup_energy(_with_inner_scale(spec, inner, s), inner, cfg, odd) - e_outer
+        sub = replace(spec, centers=inner, depth_scales=(s,) * len(inner))
+        return _solve_potential(sub, cfg, odd).energy - e_outer
 
     lo, hi = SCALE_BRACKET
     if detuning(lo) * detuning(hi) > 0.0:
@@ -379,33 +355,16 @@ def calibrate_wells(
         s_star = brentq(detuning, lo, hi, xtol=1e-14)
 
     if abs(s_star - 1.0) <= 1e-3:
-        return spec
+        return solved(spec)
 
     # Polish: the subproblem match ignores the inter-group coupling, so scan
-    # the neighbourhood of s_star for the best full-problem fidelity.
-    best_s, best_f = s_star, -1.0
+    # s_star's neighbourhood for the best full-problem fidelity (first best wins).
+    best = None
     span, steps = 8.0e-3, 17
     for k in range(steps):
         s = s_star - span / 2 + span * k / (steps - 1)
-        cand = _with_inner_scale(spec, inner, s)
-        f = fidelity(_solve_potential(cand, cfg, odd), target)
-        if f > best_f:
-            best_s, best_f = s, f
-    return _with_inner_scale(spec, inner, best_s)
-
-
-def solve_well(
-    target: SuperpositionSpec,
-    gamma: float = 2.0,
-    cfg: Optional[SolverConfig] = None,
-) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
-    """Calibrate, solve and score a well system for a target superposition.
-
-    Calibration and the final solve share ``cfg`` (default:
-    ``default_solver_config(target, gamma=gamma)``) and the target's parity
-    sector, so an odd target gets the lowest odd state.
-    """
-    cfg = cfg or default_solver_config(target, gamma=gamma)
-    spec = calibrate_wells(target, gamma=gamma, cfg=cfg)
-    psi = _solve_potential(spec, cfg, target.is_antisymmetric())
-    return spec, psi, fidelity(psi, target)
+        scales = tuple(s if m == inner_mag else 1.0 for m in mags)
+        cand = solved(replace(spec, depth_scales=scales))
+        if best is None or cand[2] > best[2]:
+            best = cand
+    return best

@@ -57,8 +57,9 @@ class PhaseSpaceGrid:
     np: int
 
     def __post_init__(self):
-        if not (self.q_min < self.q_max and self.p_min < self.p_max):
-            raise ValueError("grid bounds must satisfy min < max")
+        if not (-math.inf < self.q_min < self.q_max < math.inf
+                and -math.inf < self.p_min < self.p_max < math.inf):
+            raise ValueError("grid bounds must be finite and satisfy min < max")
         if self.nq < 2 or self.np < 2:
             raise ValueError("grid needs at least two samples per axis")
 

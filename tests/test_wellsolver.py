@@ -41,7 +41,7 @@ class TestPotential:
 
     @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
     def test_symmetry(self, name):
-        spec = ws.calibrate_wells(states.preset(name))
+        spec = ws.solve_well(states.preset(name))[0]
         xs = np.linspace(-13.0, 13.0, 2001)
         # summation order differs between x and -x, so allow rounding noise
         assert np.max(np.abs(ws.potential(spec, xs) - ws.potential(spec, -xs))) < 1e-14
@@ -169,27 +169,42 @@ class TestGroundState:
         with pytest.raises(ValueError):
             ws.SolverConfig(domain=(-5.0, 5.0), points=400)
 
+    @pytest.mark.parametrize("domain", [
+        (-math.inf, 5.0), (-5.0, math.inf), (-math.inf, math.inf), (math.nan, 5.0), (-5.0, math.nan),
+    ])
+    def test_non_finite_domain_rejected(self, domain):
+        # refused here, not later inside LAPACK
+        with pytest.raises(ValueError, match="finite"):
+            ws.SolverConfig(domain=domain)
+
 
 class TestCalibration:
     def test_first_case_geometry(self):
-        spec = ws.calibrate_wells(states.preset("Y1"))
+        spec = ws.solve_well(states.preset("Y1"))[0]
         assert spec.centers == (-7.0, -4.0, 4.0, 7.0)
         assert spec.v0 * spec.gamma / spec.sigma**2 == pytest.approx(ws.CURVATURE)
 
     def test_narrow_gap_rejected(self):
         target = states.SuperpositionSpec(terms=((0.25, 1.0), (-0.25, 1.0)))
         with pytest.raises(ValueError, match="wells merge"):
-            ws.calibrate_wells(target)
+            ws.solve_well(target)[0]
 
     def test_asymmetric_target_rejected(self):
         target = states.SuperpositionSpec(terms=((1.0, 1.0), (3.0, 1.0)))
         with pytest.raises(ValueError, match="symmetric"):
-            ws.calibrate_wells(target)
+            ws.solve_well(target)[0]
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            ws.calibrate_wells(states.preset("Y1"), gamma=gamma)
+            ws.solve_well(states.preset("Y1"), gamma=gamma)[0]
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_gamma_rejected_with_explicit_grid(self, gamma):
+        # checked before V0 = CURVATURE / gamma when the caller brings the grid
+        cfg = ws.SolverConfig(domain=(-22.0, 22.0))
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            ws.solve_well(states.preset("Y1"), gamma=gamma, cfg=cfg)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf"), 1e200])
     def test_bad_gamma_rejected_by_default_domain(self, gamma):
@@ -224,9 +239,8 @@ class TestCalibration:
             raise AssertionError("solved on a grid that was to be refused")
 
         monkeypatch.setattr(ws, "ground_state", no_solve)
-        for call in (ws.calibrate_wells, ws.solve_well):
-            with pytest.raises(ValueError, match="--points"):
-                call(states.preset("Y1"), gamma=gamma)
+        with pytest.raises(ValueError, match="--points"):
+            ws.solve_well(states.preset("Y1"), gamma=gamma)[0]
 
     def test_single_well_grid_too_coarse_refused(self):
         cfg = ws.SolverConfig(domain=(-20.0, 20.0), points=41)
@@ -244,7 +258,7 @@ class TestCalibration:
         assert 0.0 < fid <= 1.0 and psi.residual < 1e-8
 
     def test_vacuum_single_well(self):
-        spec = ws.calibrate_wells(states.preset("vacuum"))
+        spec = ws.solve_well(states.preset("vacuum"))[0]
         assert spec.centers == (0.0,)
         _, psi, fid = ws.solve_well(states.preset("vacuum"))
         assert fid > 0.99
@@ -260,10 +274,51 @@ class TestCalibration:
         assert fid >= 0.99
 
     def test_middle_case_rebalances_inner_depths(self):
-        spec = ws.calibrate_wells(states.preset("Y2"))
+        spec = ws.solve_well(states.preset("Y2"))[0]
         scales = dict(zip(spec.centers, spec.scales))
         assert scales[6.0] == 1.0
         assert scales[1.0] == scales[-1.0] < 0.95
+
+
+class TestSolveOnce:
+    @pytest.mark.parametrize("name,solves", [
+        ("Y1", 21), ("Y2", 32), ("Y3", 33), ("odd-cat(2)", 1),
+    ])
+    def test_each_well_system_solved_once(self, name, solves, monkeypatch):
+        # Y1 and odd-cat(2) skip the polish; the bracket ends are solved once,
+        # and the polished well system is not solved again
+        calls = []
+        real = ws.ground_state
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ws, "ground_state", counted)
+        ws.solve_well(states.preset(name))
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("target", [
+        states.preset("Y1"),
+        states.preset("Y2"),
+        states.SuperpositionSpec(terms=((1.0, 1.0), (-1.0, -1.0), (6.0, 1.0), (-6.0, -1.0))),
+    ], ids=["Y1", "Y2", "odd-1-6"])
+    def test_returned_state_is_the_ground_state_of_the_returned_wells(self, target):
+        cfg = ws.default_solver_config(target)
+        spec, psi, fid = ws.solve_well(target, cfg=cfg)
+        again = ws.ground_state(ws.potential(spec, cfg.xs()), cfg, target.is_antisymmetric())
+        assert np.array_equal(psi.values, again.values)
+        assert psi.energy == again.energy
+        assert fid == ws.fidelity(again, target)
+
+    def test_check_order(self):
+        # symmetric target, then wells merge, then gamma
+        lopsided = states.SuperpositionSpec(terms=((0.25, 1.0), (3.0, 1.0)))
+        with pytest.raises(ValueError, match="symmetric"):
+            ws.solve_well(lopsided, gamma=0.0)
+        narrow = states.SuperpositionSpec(terms=((0.25, 1.0), (-0.25, 1.0)))
+        with pytest.raises(ValueError, match="wells merge"):
+            ws.solve_well(narrow, gamma=0.0)
 
 
 class TestFidelity:

@@ -251,6 +251,16 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             wigner.PhaseSpaceGrid(1.0, -1.0, -1.0, 1.0, 10, 10)
 
+    @pytest.mark.parametrize("bounds", [
+        (-math.inf, 1.0, -1.0, 1.0), (-1.0, math.inf, -1.0, 1.0),
+        (-1.0, 1.0, -math.inf, 1.0), (-1.0, 1.0, -1.0, math.inf),
+        (math.nan, 1.0, -1.0, 1.0), (-1.0, 1.0, -1.0, math.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # an infinite bound would give an all-NaN field with no mass warning
+        with pytest.raises(ValueError, match="finite"):
+            wigner.PhaseSpaceGrid(*bounds, 5, 5)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             wigner.PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 1, 10)
