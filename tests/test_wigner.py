@@ -27,9 +27,10 @@ def vacuum_transform_oracle(q, p):
     return float(np.real(np.trapezoid(integrand, x)) / (2.0 * math.pi))
 
 
-def per_row_reference(xs, psi, grid):
-    """The quadrature one q row at a time, x step 0.02 over the grid's q-extent."""
-    half_width = grid.q_max - grid.q_min
+def per_row_reference(xs, psi, grid, half_width=None):
+    """The quadrature one q row at a time over [-L, L], x step 0.02; L defaults to the q-extent."""
+    if half_width is None:
+        half_width = grid.q_max - grid.q_min
     nx = 2 * int(math.ceil(half_width / 0.02)) + 1
     xg = np.linspace(-half_width, half_width, nx)
     hx = xg[1] - xg[0]
@@ -173,6 +174,14 @@ class TestNumericTransform:
         with pytest.raises(ValueError, match="positive and finite"):
             wigner.wigner_numeric(xs, psi, grid, **kwargs)
 
+    @pytest.mark.parametrize("phase", [1j, 1.0 + 0j])
+    def test_complex_psi_rejected(self, phase):
+        # casting to float kept only the real part: 1j * psi gave an all-zero field
+        xs, psi = sampled_wavefunction(states.preset("Y3"), n=2001)
+        grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
+        with pytest.raises(ValueError, match="psi must be real"):
+            wigner.wigner_numeric(xs, phase * psi, grid)
+
     def test_lost_mass_is_flagged(self):
         spec = states.preset("Y3")
         xs, psi = sampled_wavefunction(spec, n=2001)
@@ -184,31 +193,46 @@ class TestNumericTransform:
 
 
 class TestBlockedTransform:
+    # the fold to x >= 0 needs P(q, x) even in x, not a parity-symmetric state
+    SKEW = states.SuperpositionSpec(((0.0, 1.0), (3.0, 0.7), (-5.0, -0.4)))
+
     @pytest.mark.filterwarnings("ignore:mass deficit")  # nq = 2 cannot integrate the field
-    @pytest.mark.parametrize("name", ["Y3", "odd-cat(3)"])
+    @pytest.mark.parametrize("name", ["Y3", "odd-cat(3)", "skew"])
     @pytest.mark.parametrize("nq", [2, 63, 64, 65, 601])
     def test_matches_per_row_reference(self, name, nq):
         # 64 q rows per block: single-row, partial, exact and overflowing blocks
-        spec = states.preset(name)
+        spec = self.SKEW if name == "skew" else states.preset(name)
         xs, psi = sampled_wavefunction(spec, n=2001)
         grid = wigner.default_grid(spec, nq, 41)
         got = wigner.wigner_numeric(xs, psi, grid)
         assert np.max(np.abs(got.values - per_row_reference(xs, psi, grid))) <= 1e-14
+        # L = 3 is inside every inner block's reach: no trim below the m + 1 columns
+        got = wigner.wigner_numeric(xs, psi, grid, x_half_width=3.0)
+        ref = per_row_reference(xs, psi, grid, half_width=3.0)
+        assert np.max(np.abs(got.values - ref)) <= 1e-14
+        # samples cut to zero at their ends keep weight in the x columns at the trim
+        # bound, and q rows 11 past the cut leave the outer blocks no column at all
+        xs, psi = sampled_wavefunction(spec, margin=1.0, n=2001)
+        psi[[0, -1]] = 0.0
+        half = spec.max_amplitude + 12.0
+        wide = wigner.PhaseSpaceGrid(-half, half, -8.0, 8.0, nq, 41)
+        got = wigner.wigner_numeric(xs, psi, wide)
+        assert np.max(np.abs(got.values - per_row_reference(xs, psi, wide))) <= 1e-14
 
     def test_peak_memory_is_kernel_plus_field(self):
-        # materialising the (nq, nx) product matrix adds tens of MB on this grid
+        # materialising the (nq, m + 1) product matrix (5.8 MB) would exceed the headroom
         spec = states.preset("Y1")
         xs, psi = sampled_wavefunction(spec)
         grid = wigner.default_grid(spec)
-        nx = 2 * int(math.ceil((grid.q_max - grid.q_min) / 0.02)) + 1
-        kernel_and_field = 8 * (nx * 2 * grid.np + grid.nq * grid.np)
+        m = int(math.ceil((grid.q_max - grid.q_min) / 0.02))
+        kernel_and_field = 8 * ((m + 1) * grid.np + grid.nq * grid.np)
         tracemalloc.start()
         try:
             wigner.wigner_numeric(xs, psi, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * kernel_and_field
+        assert peak < 1.6 * kernel_and_field
 
 
 class TestIntegrals:
