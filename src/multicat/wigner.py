@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.interpolate import CubicSpline
 
 from .states import SuperpositionSpec, normalization, readonly
@@ -151,18 +152,18 @@ def wigner_numeric(
 ) -> WignerField:
     """Wigner transform of a sampled wavefunction by direct quadrature.
 
-    ``psi`` must be real (ValueError otherwise), sampled on the uniform grid
-    ``xs`` and decayed below 1e-10 at both ends, otherwise ValueError (domain
-    too small).  A real ``psi`` makes P(q, x) = psi(q + x/2) psi(q - x/2) even
-    in x, so W = (1/pi) Int_0^L cos(px) P dx: the sine part vanishes and only
-    x >= 0 is sampled, with folded trapezoid weights.  L defaults to the
-    q-extent of the output grid; the integrand's Gaussian decay makes the
-    trapezoidal rule effectively exact at these tolerances; L and ``x_step``
-    must be positive and finite.  Each block of ``_Q_BLOCK`` q rows is one
-    GEMM against a (m + 1, np) kernel cos(xp) built once, trimmed to the x
-    columns whose both spline factors can lie inside ``xs`` (the rest are
-    exact zeros), so memory holds the kernel, the field and one block.
-    Warns ``mass deficit``.
+    ``psi`` must be real and sampled on strictly increasing ``xs`` (ValueError
+    otherwise), decayed below 1e-10 at both ends (else ValueError: domain too
+    small).  A real ``psi`` makes P(q, x) = psi(q + x/2) psi(q - x/2) even in
+    x, so W = (1/pi) Int_0^L cos(px) P dx, by the trapezoidal rule on nodes
+    k hx (k < m) and L, which defaults to the q-extent of the grid; L and
+    ``x_step``, the bound on hx, must be positive and finite.  hx = 2 b eps
+    for a step eps that divides dq, so every spline argument lies on one
+    lattice of step eps, sampled once.  Each block of ``_Q_BLOCK`` q rows is
+    one GEMM against an (m + 1, np) kernel cos(xp), trimmed to the x columns
+    that can reach inside ``xs`` (the rest are exact zeros), so memory holds
+    the kernel, the field, one block and the lattice (2 b / np of the
+    kernel).  Warns ``mass deficit``.
     """
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: the quadrature assumes a real wavefunction sample")
@@ -177,29 +178,49 @@ def wigner_numeric(
         x_half_width = grid.q_max - grid.q_min
     if not (0 < x_step < math.inf and 0 < x_half_width < math.inf):
         raise ValueError("x_step and x_half_width must be positive and finite")
-    m = int(math.ceil(x_half_width / x_step))
-    xg = np.linspace(-x_half_width, x_half_width, 2 * m + 1)
-    hx = xg[1] - xg[0]
-    half = 0.5 * xg[m:]
-    trap_w = np.full(m + 1, 2.0 * hx)
-    trap_w[0] = trap_w[-1] = hx
-    interp = CubicSpline(xs, psi, extrapolate=False)
+    interp = CubicSpline(xs, psi, extrapolate=False)  # refuses xs that do not increase
+    # every spline argument q_i +- x_k/2 lies on one lattice q_min + j eps: dq = a eps and
+    # hx = 2 b eps <= x_step, a <= 3 ceil(2 dq / x_step).  Take the longest hx that is not within
+    # 0.2 of a whole number of sample spacings, where the nodes meet the spline's error at one
+    # or two phases instead of its average (if every one is, the longest)
+    r, h = 2.0 * grid.dq / x_step, (xs[-1] - xs[0]) / (xs.size - 1)
 
-    kern = np.multiply.outer(xg[m:], grid.ps())
-    np.cos(kern, out=kern)
+    def rank(ab):
+        t = 2.0 * ab[1] * grid.dq / (ab[0] * h)  # hx in mean sample spacings
+        return round(t) == 0 or abs(t - round(t)) >= 0.2, ab[1] / ab[0]
+
+    a, b = max(((a, b) for a in range(1, 3 * math.ceil(r) + 1) if (b := math.floor(a / r + 1e-9))),
+               key=rank)
+    eps = grid.dq / a
+    hx = 2 * b * eps
+    m = max(1, math.ceil(x_half_width / hx - 1e-9))  # no near-empty last panel
+    xn = np.append(hx * np.arange(m), x_half_width)
+    trap_w = np.append(xn[1:], x_half_width) - np.append(0.0, xn[:-1])  # folded trapezoid
+    reach0 = (m - 1) * b  # lattice index of q_min
+    lattice = grid.q_min + eps * np.arange(-reach0, (grid.nq - 1) * a + reach0 + 1)
+    f = np.nan_to_num(interp(lattice), nan=0.0, copy=False)
+    # strided views: up[i, k] and down[i, k] are the samples at q_i + x_k/2 and q_i - x_k/2
+    up = as_strided(f[reach0:], (grid.nq, m), (a * f.itemsize, b * f.itemsize), writeable=False)
+    down = as_strided(f[reach0:], (grid.nq, m), (a * f.itemsize, -b * f.itemsize), writeable=False)
     qs = grid.qs()
+    end = np.nan_to_num(interp(qs + 0.5 * x_half_width) * interp(qs - 0.5 * x_half_width), nan=0.0)
+
+    kern = np.multiply.outer(xn, grid.ps())
+    np.cos(kern, out=kern)
     w = np.empty((grid.nq, grid.np))
     for i in range(0, grid.nq, _Q_BLOCK):
         q = qs[i : i + _Q_BLOCK, None]
-        # past this reach one factor lies outside xs (NaN, so 0) in every row;
-        # the hx/4 slack, half a column, absorbs rounding at the bound
+        # past x = 2 reach one factor lies outside xs (NaN, so 0) in every row;
+        # the slack of half a column absorbs rounding at the bound
         reach = float(np.max(np.minimum(xs[-1] - q, q - xs[0])))
-        n = int(np.searchsorted(half, reach + 0.25 * hx, side="right"))
-        prod = np.nan_to_num(interp(q + half[:n]), nan=0.0, copy=False)
-        prod *= np.nan_to_num(interp(q - half[:n]), nan=0.0, copy=False)
+        n = int(np.searchsorted(xn, 2.0 * reach + 0.5 * hx, side="right"))
+        prod = np.empty((len(q), n))
+        np.multiply(up[i : i + _Q_BLOCK, :n], down[i : i + _Q_BLOCK, :n], out=prod[:, :m])
+        prod[:, m:] = end[i : i + _Q_BLOCK, None]  # the end node, when kept
         prod *= trap_w[:n]
         w[i : i + _Q_BLOCK] = prod @ kern[:n]
         del prod  # free this block before the next one is sampled
+    del kern  # the field checks below copy w: free the kernel first
     w /= 2.0 * math.pi
     return _checked_field(grid, w)
 

@@ -27,21 +27,45 @@ def vacuum_transform_oracle(q, p):
     return float(np.real(np.trapezoid(integrand, x)) / (2.0 * math.pi))
 
 
+def lattice_step(xs, grid, x_step=0.02):
+    """wigner_numeric's x step 2 b dq / a: r = 2 dq / x_step, a <= 3 ceil(r), b = floor(a / r).
+
+    The longest step wins that is not within 0.2 of a whole number (>= 1) of
+    mean sample spacings; if none qualifies, the longest step.
+    """
+    r = 2.0 * grid.dq / x_step
+    spacing = (xs[-1] - xs[0]) / (len(xs) - 1)
+    best = None
+    for a in range(1, 3 * math.ceil(r) + 1):
+        b = int(a / r + 1e-9)
+        t = 2 * b * grid.dq / (a * spacing)
+        key = (round(t) == 0 or abs(t - round(t)) >= 0.2, b / a)
+        if b >= 1 and (best is None or key > best[0]):
+            best = (key, a, b)
+    _, a, b = best
+    return 2 * b * (grid.dq / a)
+
+
 def per_row_reference(xs, psi, grid, half_width=None):
-    """The quadrature one q row at a time over [-L, L], x step 0.02; L defaults to the q-extent."""
+    """The quadrature one q row at a time over [-L, L]; L defaults to the q-extent.
+
+    Nodes are k hx for |k| < m plus +-L, hx = lattice_step, m = ceil(L / hx);
+    the trapezoid weights are those of the whole line, not folded onto x >= 0.
+    """
     if half_width is None:
         half_width = grid.q_max - grid.q_min
-    nx = 2 * int(math.ceil(half_width / 0.02)) + 1
-    xg = np.linspace(-half_width, half_width, nx)
-    hx = xg[1] - xg[0]
+    hx = lattice_step(xs, grid)
+    m = max(1, math.ceil(half_width / hx - 1e-9))
+    pos = np.append(hx * np.arange(1, m), half_width)
+    xg = np.concatenate((-pos[::-1], [0.0], pos))
     interp = CubicSpline(xs, psi, extrapolate=False)
 
     def sample(points):
         return np.nan_to_num(interp(points), nan=0.0)
 
     cosm = np.cos(np.outer(grid.ps(), xg))
-    trap_w = np.full(nx, hx)
-    trap_w[0] = trap_w[-1] = 0.5 * hx
+    panels = np.diff(xg)
+    trap_w = 0.5 * (np.append(panels, 0.0) + np.append(0.0, panels))
     w = np.empty((grid.nq, grid.np))
     for i, q in enumerate(grid.qs()):
         w[i, :] = cosm @ (sample(q + 0.5 * xg) * sample(q - 0.5 * xg) * trap_w)
@@ -155,6 +179,44 @@ class TestNumericTransform:
         fcf = wigner.wigner_closed_form(spec, grid)
         assert np.max(np.abs(fnum.values - fcf.values)) < 1e-6
 
+    @pytest.mark.parametrize("terms", [
+        "Y1", "Y2", "Y3",
+        ((3.757, 1.0), (-3.757, 1.0), (7.169, 1.0), (-7.169, 1.0)),
+        # the plain lattice step here, 2 dq / 5, is 4.0 sample spacings: its nodes would
+        # meet the spline's error at one phase, 2.26e-12 from the closed form
+        ((4.0, 1.0), (-4.0, 1.0), (7.05, 1.0), (-7.05, 1.0)),
+    ], ids=["Y1", "Y2", "Y3", "Y1-jittered", "Y1-resonant"])
+    def test_matches_closed_form_to_spline_accuracy(self, terms):
+        # the oracle's accuracy on the default grid from 6501 samples; 1.44e-12 at worst
+        spec = states.preset(terms) if isinstance(terms, str) else states.SuperpositionSpec(terms)
+        grid = wigner.default_grid(spec)
+        xs, psi = sampled_wavefunction(spec)
+        fnum = wigner.wigner_numeric(xs, psi, grid)
+        fcf = wigner.wigner_closed_form(spec, grid)
+        assert np.max(np.abs(fnum.values - fcf.values)) <= 2e-12
+
+    def test_non_uniform_samples(self):
+        # xs need only increase: 6501 sinh-mapped samples, 3.8x denser at the centre
+        spec = states.preset("Y3")
+        grid = wigner.PhaseSpaceGrid(-11.0, 11.0, -8.0, 8.0, 221, 161)
+        xs = 12.0 * np.sinh(2.0 * np.linspace(-1.0, 1.0, 6501)) / math.sinh(2.0)
+        psi = np.asarray(states.position_wavefunction(spec, xs))
+        fnum = wigner.wigner_numeric(xs, psi, grid)
+        fcf = wigner.wigner_closed_form(spec, grid)
+        assert np.max(np.abs(fnum.values - fcf.values)) <= 2e-12
+
+    @pytest.mark.parametrize("order", ["reversed", "repeated"])
+    def test_non_increasing_samples_rejected(self, order):
+        xs, psi = sampled_wavefunction(states.preset("Y3"), n=2001)
+        if order == "reversed":
+            xs, psi = xs[::-1], psi[::-1]
+        else:
+            xs = xs.copy()
+            xs[1000] = xs[999]
+        grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            wigner.wigner_numeric(xs, psi, grid)
+
     def test_undecayed_boundary_rejected(self):
         spec = states.preset("Y1")
         xs = np.linspace(-7.0, 7.0, 2001)  # cuts through the outer humps
@@ -218,6 +280,24 @@ class TestBlockedTransform:
         wide = wigner.PhaseSpaceGrid(-half, half, -8.0, 8.0, nq, 41)
         got = wigner.wigner_numeric(xs, psi, wide)
         assert np.max(np.abs(got.values - per_row_reference(xs, psi, wide))) <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:mass deficit")  # 41 p points alias Y1's fringes
+    @pytest.mark.parametrize("terms, n, window, half_width, a_over_b", [
+        (((3.757, 1.0), (-3.757, 1.0), (7.169, 1.0), (-7.169, 1.0)), 2001, None, None, 13 / 3),
+        ("Y1", 2001, (-2.0, 2.0, 801), None, 0.5),  # dq = x_step / 4: a = 1, b = 2
+        ("Y1", 2001, None, 7.31, 4.0),  # L = 365.5 hx: a last panel of half a step
+        ("Y1", 2601, None, None, 4.5),  # hx = 0.02 would be 2.0 sample spacings
+    ], ids=["jittered", "narrow", "end-node", "resonant"])
+    def test_node_regimes_match_per_row_reference(self, terms, n, window, half_width, a_over_b):
+        spec = states.preset(terms) if isinstance(terms, str) else states.SuperpositionSpec(terms)
+        grid = wigner.default_grid(spec, 601, 41)
+        if window is not None:
+            grid = wigner.PhaseSpaceGrid(window[0], window[1], -8.0, 8.0, window[2], 41)
+        xs, psi = sampled_wavefunction(spec, n=n)
+        assert 2 * grid.dq / lattice_step(xs, grid) == pytest.approx(a_over_b)  # 2 dq / hx = a / b
+        got = wigner.wigner_numeric(xs, psi, grid, x_half_width=half_width)
+        ref = per_row_reference(xs, psi, grid, half_width=half_width)
+        assert np.max(np.abs(got.values - ref)) <= 1e-14
 
     def test_peak_memory_is_kernel_plus_field(self):
         # materialising the (nq, m + 1) product matrix (5.8 MB) would exceed the headroom
