@@ -34,6 +34,7 @@ from .photon import (
     envelope_derivative,
     envelope_extrema,
     inter_poissonian,
+    pair_envelope,
     poisson_pnd,
     qts_pnd,
     qts_pnd_closed_form,

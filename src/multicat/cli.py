@@ -230,24 +230,10 @@ def _emit_pnd(cfg: RunConfig) -> List[Path]:
     return [path]
 
 
-def _envelope_amplitudes(spec: states.SuperpositionSpec) -> Tuple[float, float]:
-    mags = sorted(set(abs(m) for m in spec.amplitudes))
-    if any(m == 0.0 for m in mags):
-        raise ValueError("envelope analysis requires nonzero amplitudes")
-    if len(mags) == 1:
-        return mags[0], mags[0]
-    if len(mags) == 2:
-        return mags[0], mags[1]
-    raise ValueError("envelope analysis expects at most two distinct |amplitudes|")
-
-
 def _emit_envelope(cfg: RunConfig) -> List[Path]:
-    a, b = _envelope_amplitudes(cfg.spec)
-    nmax = _effective_nmax(cfg)
-    ns = np.arange(0.0, nmax + 0.25, 0.25)
+    ns = np.arange(0.0, _effective_nmax(cfg) + 0.25, 0.25)
     flags = (False, True)
-    values = [photon.envelope(a, b, ns, flag) for flag in flags]
-    slopes = [photon.envelope_derivative(a, b, ns, flag) for flag in flags]
+    values, slopes = zip(*(photon.pair_envelope(cfg.spec, ns, flag) for flag in flags))
     path = cfg.out_dir / "envelope.csv"
     _write_csv(path, "n,value,derivative,with_interference", np.tile(ns, 2),
                np.concatenate(values), np.concatenate(slopes), np.repeat(flags, ns.size))

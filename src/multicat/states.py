@@ -100,10 +100,12 @@ class SuperpositionSpec:
 
 
 def readonly(values) -> np.ndarray:
-    """A write-protected float copy, so result arrays stay immutable."""
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
+    """A write-protected float copy, so results stay immutable; an owned read-only one is kept."""
+    if not (isinstance(values, np.ndarray) and values.dtype == float
+            and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=float)
+        values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)

@@ -121,26 +121,28 @@ def cross_kernel(q: float, p: float, mu_j: float, mu_k: float) -> complex:
 def wigner_closed_form(spec: SuperpositionSpec, grid: PhaseSpaceGrid) -> WignerField:
     """Closed-form field W = N^(-1) sum_jk c_j c_k K(q, p; mu_j, mu_k).
 
-    The conjugate pairing of (j, k) and (k, j) makes the sum real: each
-    pair contributes a q-Gaussian at the midpoint times a cosine ripple
-    along p at frequency mu_j - mu_k.  Emits a ``mass deficit`` warning
-    when the grid fails to capture the state's probability mass.
+    The conjugate pairing of (j, k) and (k, j) makes the sum real: each pair
+    adds a q-Gaussian G at its midpoint m times a ripple R = exp(-p^2/2) cos(p d)
+    at its distance d = |mu_j - mu_k|.  With the weights summed into a table A
+    over distinct m and d, the field is one product G @ A @ R^T.  Warns
+    ``fringes undersampled`` when the widest ripple gets under two samples per
+    period along p, and ``mass deficit`` when the grid misses probability mass.
     """
-    qs = grid.qs()
-    ps = grid.ps()
-    n = normalization(spec)
-    p_env = np.exp(-0.5 * ps * ps)
-    w = np.zeros((grid.nq, grid.np))
-    for mj, cj in spec.terms:
-        for mk, ck in spec.terms:
-            weight = cj * ck
-            if weight == 0.0:
-                continue
-            q_gauss = np.exp(-2.0 * (qs - 0.5 * (mj + mk)) ** 2)
-            ripple = p_env * np.cos(ps * (mj - mk))
-            w += weight * np.outer(q_gauss, ripple)
-    w /= math.pi * n
-    return _checked_field(grid, w)
+    mus, cs = spec.amplitudes, spec.coefficients
+    weight = np.multiply.outer(cs, cs)
+    keep = weight != 0.0
+    mids, mid_idx = np.unique(0.5 * np.add.outer(mus, mus)[keep], return_inverse=True)
+    dists, dist_idx = np.unique(np.abs(np.subtract.outer(mus, mus))[keep], return_inverse=True)
+    table = np.zeros((mids.size, dists.size))
+    np.add.at(table, (mid_idx, dist_idx), weight[keep])
+    table /= math.pi * normalization(spec)
+    if grid.dp * dists[-1] > math.pi:
+        warnings.warn(f"fringes undersampled: p step {grid.dp:.4g} exceeds half the period"
+                      f" 2 pi / {dists[-1]:.4g} of the widest pair", stacklevel=2)
+    qs, ps = grid.qs(), grid.ps()
+    gauss = np.exp(-2.0 * np.subtract.outer(qs, mids) ** 2)
+    ripple = np.exp(-0.5 * ps * ps)[:, None] * np.cos(np.multiply.outer(ps, dists))
+    return _checked_field(grid, gauss @ table @ ripple.T)
 
 
 def wigner_numeric(
@@ -220,13 +222,13 @@ def wigner_numeric(
         prod *= trap_w[:n]
         w[i : i + _Q_BLOCK] = prod @ kern[:n]
         del prod  # free this block before the next one is sampled
-    del kern  # the field checks below copy w: free the kernel first
     w /= 2.0 * math.pi
     return _checked_field(grid, w)
 
 
 def _checked_field(grid: PhaseSpaceGrid, w: np.ndarray) -> WignerField:
-    """Field of ``w``; warns ``mass deficit`` when its mass is off by over MASS_TOLERANCE."""
+    """Field of ``w``, made read-only, not copied; warns ``mass deficit`` past MASS_TOLERANCE."""
+    w.flags.writeable = False
     mass = _trapz2d(w, grid.dq, grid.dp)
     deficit = abs(mass - 1.0) > MASS_TOLERANCE
     if deficit:
@@ -235,7 +237,9 @@ def _checked_field(grid: PhaseSpaceGrid, w: np.ndarray) -> WignerField:
 
 
 def _trapz2d(values: np.ndarray, dq: float, dp: float) -> float:
-    return float(np.trapezoid(np.trapezoid(values, dx=dp, axis=1), dx=dq, axis=0))
+    """Trapezoidal double integral wq @ values @ wp: no temporary of the field's size."""
+    wq, wp = (np.r_[0.5, np.ones(n - 2), 0.5] * h for n, h in zip(values.shape, (dq, dp)))
+    return float(wq @ values @ wp)
 
 
 def integrate(field: WignerField) -> float:

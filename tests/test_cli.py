@@ -250,6 +250,31 @@ class TestRuns:
             assert min(abs(p - centre) for p in peaks) <= step
 
 
+class TestEnvelopeTargets:
+    @pytest.mark.parametrize("argv,sign", [
+        (["--preset", "odd-cat(1)"], -1.0),
+        (["--amps", "1,-1,2.5,-2.5", "--coeffs", "1,-1,1,-1"], -1.0),
+        (["--amps", "4,-4,7,-7", "--coeffs", "1,1,2,2"], 1.0),
+        (["--amps", "1,-1,3,-3,5.5,-5.5", "--coeffs", "1,1,-0.5,-0.5,2,2"], 1.0),
+        (["--amps", "0.5,-0.5,2,-2,4,-4", "--coeffs", "1.5,-1.5,1,-1,0.75,-0.75"], -1.0),
+    ], ids=["odd-cat", "odd-pairs", "weighted-pairs", "six-even", "six-odd"])
+    def test_envelope_times_parity_is_the_distribution(self, tmp_path, argv, sign):
+        for command in ("pnd", "envelope"):
+            assert cli.main([command, *argv, "--out", str(tmp_path)]) == 0
+        probs = np.loadtxt(tmp_path / "pnd.csv", delimiter=",", skiprows=1)[:, 1]
+        env = np.loadtxt(tmp_path / "envelope.csv", delimiter=",", skiprows=1)
+        full = env[(env[:, 3] == 1.0) & (env[:, 0] == np.round(env[:, 0]))]
+        ns = full[:, 0].astype(int)
+        assert np.array_equal(ns, np.arange(probs.size))
+        parity = 1.0 + sign * np.where(ns % 2 == 0, 1.0, -1.0)
+        assert np.all(np.abs(full[:, 1] * parity - probs) <= 1e-15 + 1e-9 * probs)
+
+    def test_target_without_parity_is_runtime_error(self, tmp_path, capsys):
+        rc = cli.main(["envelope", "--amps", "4,7", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "even or odd" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

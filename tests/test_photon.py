@@ -93,7 +93,7 @@ class TestZeroAmplitude:
         dist = photon.qts_pnd(spec, nmax).probs
         closed = photon.qts_pnd_closed_form(0.0, b, nmax, parity)
         assert np.max(np.abs(dist - closed)) < 1e-14
-        n_norm = photon.quad_normalization(0.0, b, parity)
+        n_norm = states.normalization(spec)
         for n in range(nmax + 1):
             plain = photon._parity_factor(n, parity) * (2.0 / n_norm) * (
                 photon.poisson_pnd(0.0, n) + photon.poisson_pnd(b, n)
@@ -103,16 +103,17 @@ class TestZeroAmplitude:
 
     @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
     def test_positive_amplitudes_keep_their_bits(self, name):
+        # the pair form with math.log in place of the log-space xlogy: pairs (a, a), (a, b), (b, b)
         a, b = CASES[name]
         ns = np.arange(161)
         lg = special.gammaln(ns + 1.0)
-        t_a = np.exp(-a * a + 2.0 * ns * math.log(a) - lg)
-        t_b = np.exp(-b * b + 2.0 * ns * math.log(b) - lg)
-        t_x = np.exp(-0.5 * (a * a + b * b) + ns * math.log(a * b) - lg)
+        x, y, w = np.array([a, a, b]), np.array([a, b, b]), np.array([1.0, 2.0, 1.0])
+        logs = np.array([math.log(v) for v in x * y])
+        t = np.exp(-0.5 * (x * x + y * y) + ns[:, None] * logs - lg[:, None])
         for parity in ("even", "odd"):
-            direct = photon._parity_factor(ns, parity) * (
-                2.0 / photon.quad_normalization(a, b, parity)
-            ) * (t_a + t_b + 2.0 * t_x)
+            twin = 1.0 + np.exp(-2.0 * x * y) if parity == "even" else -np.expm1(-2.0 * x * y)
+            norm = 2.0 * math.fsum(w * np.exp(-0.5 * (x - y) ** 2) * twin)
+            direct = photon._parity_factor(ns, parity) * ((2.0 / norm) * (t @ w))
             assert np.array_equal(photon.qts_pnd_closed_form(a, b, 160, parity), direct)
 
     def test_negative_amplitude_rejected(self):
@@ -145,7 +146,7 @@ class TestInterPoissonian:
         spec = states.preset("Y1")
         nmax = states.min_fock_truncation(spec)
         dist = photon.qts_pnd(spec, nmax).probs
-        n_norm = photon.quad_normalization(a, b, "even")
+        n_norm = states.normalization(spec)
         for n in range(0, 121):
             pf = 2.0 if n % 2 == 0 else 0.0
             plain = pf * (4.0 / n_norm) * 0.5 * (
@@ -156,7 +157,7 @@ class TestInterPoissonian:
 
     def test_parts_sum_to_one(self):
         a, b = 4.0, 7.0
-        n_norm = photon.quad_normalization(a, b, "even")
+        n_norm = states.normalization(states.preset("Y1"))
         ns = np.arange(0, 161)
         pf = np.where(ns % 2 == 0, 2.0, 0.0)
         plain = pf * (4.0 / n_norm) * 0.5 * (photon.poisson_pnd(a, ns) + photon.poisson_pnd(b, ns))
@@ -172,12 +173,11 @@ class TestInterPoissonian:
         nmax = states.min_fock_truncation(spec)
         dist = photon.qts_pnd(spec, nmax)
         assert dist.parity == "odd"
-        assert photon.quad_normalization(a, b, "odd") == pytest.approx(
-            states.normalization(spec), rel=1e-13
-        )
+        n_norm = 2.0 / photon._PairSum((a, b), parity="odd").scale  # the pair N
+        assert n_norm == pytest.approx(states.normalization(spec), rel=1e-13)
         for n in range(0, nmax + 1):
             pf = 0.0 if n % 2 == 0 else 2.0
-            plain = pf * (4.0 / photon.quad_normalization(a, b, "odd")) * 0.5 * (
+            plain = pf * (4.0 / n_norm) * 0.5 * (
                 photon.poisson_pnd(a, n) + photon.poisson_pnd(b, n)
             )
             cross = photon.inter_poissonian(a, b, n, "odd")
@@ -275,6 +275,99 @@ class TestEnvelopeDerivative:
         want = self.BISECTION_ROOTS[(name, include)]
         assert got.shape == (len(want),)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def pair_spec(mags, coeffs, parity):
+    """sum_i c_i (|a_i> +- |-a_i>) as a spec."""
+    sign = 1.0 if parity == "even" else -1.0
+    return states.SuperpositionSpec(
+        terms=tuple(t for a, c in zip(mags, coeffs) for t in ((a, c), (-a, sign * c))))
+
+
+def three_term_form(a, b, ns, parity):
+    """The hand-expanded two-pair distribution: (2/N) [T_a + T_b + 2 T_x] per n, and 2/N."""
+    s = 1.0 if parity == "even" else -1.0
+    n_norm = (2.0 * (1.0 + s * math.exp(-2.0 * a * a)) + 2.0 * (1.0 + s * math.exp(-2.0 * b * b))
+              + 4.0 * (math.exp(-0.5 * (a - b) ** 2) + s * math.exp(-0.5 * (a + b) ** 2)))
+    lg = special.gammaln(ns + 1.0)
+    t_a = np.exp(-a * a + 2.0 * ns * math.log(a) - lg)
+    t_b = np.exp(-b * b + 2.0 * ns * math.log(b) - lg)
+    t_x = np.exp(-0.5 * (a * a + b * b) + ns * math.log(a * b) - lg)
+    psi = special.digamma(ns + 1.0)
+    slopes = (t_a * (2.0 * math.log(a) - psi), t_b * (2.0 * math.log(b) - psi),
+              2.0 * t_x * (math.log(a * b) - psi))
+    return 2.0 / n_norm, (t_a, t_b, 2.0 * t_x), slopes
+
+
+class TestPairSum:
+    PAIRS = {
+        2: ((1.5, 4.0), (1.0, -0.7)),
+        3: ((0.8, 2.5, 5.0), (2.0, 1.0, -0.5)),
+        4: ((1.0, 3.0, 4.5, 6.0), (0.5, -1.0, 1.5, 1.0)),
+        8: (tuple(0.75 * (j + 1) for j in range(8)),
+            tuple(math.exp(-(((j - 3.5) / 2.5) ** 2)) for j in range(8))),
+    }
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("count", sorted(PAIRS))
+    def test_matches_fock_route(self, count, parity):
+        spec = pair_spec(*self.PAIRS[count], parity)
+        nmax = states.min_fock_truncation(spec)
+        ns = np.arange(nmax + 1)
+        value, _ = photon.pair_envelope(spec, ns)
+        dist = photon.qts_pnd(spec, nmax).probs
+        assert np.max(np.abs(photon._parity_factor(ns, parity) * value - dist)) <= 1e-14
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_slope_matches_central_differences(self, include):
+        spec = pair_spec(*self.PAIRS[3], "odd")
+        ns, h = np.arange(0.5, 60.0, 0.75), 1e-5
+        _, slope = photon.pair_envelope(spec, ns, include)
+        fd = (photon.pair_envelope(spec, ns + h, include)[0]
+              - photon.pair_envelope(spec, ns - h, include)[0]) / (2.0 * h)
+        assert np.max(np.abs(slope - fd)) <= 1e-8 * np.max(np.abs(slope))
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
+    def test_two_pair_functions_match_three_term_form(self, name, parity):
+        a, b = CASES[name]
+        ns = np.arange(161)
+        scale, terms, _ = three_term_form(a, b, ns, parity)
+        pf = photon._parity_factor(ns, parity)
+        np.testing.assert_allclose(photon.qts_pnd_closed_form(a, b, 160, parity),
+                                   pf * scale * sum(terms), rtol=1e-14, atol=0.0)
+        cross = [photon.inter_poissonian(a, b, int(n), parity) for n in ns]
+        np.testing.assert_allclose(cross, pf * scale * terms[2], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("include", [True, False])
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
+    def test_two_pair_envelope_matches_three_term_form(self, name, include):
+        a, b = CASES[name]
+        ns = np.arange(0.0, 160.25, 0.25)
+        scale, terms, slopes = three_term_form(a, b, ns, "even")
+        keep = slice(None) if include else slice(2)
+        want = scale * sum(terms[keep])
+        np.testing.assert_allclose(photon.envelope(a, b, ns, include), want, rtol=1e-14, atol=0.0)
+        want = scale * sum(slopes[keep])
+        got = photon.envelope_derivative(a, b, ns, include)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a", [1e-4, 1e-3, 0.1])
+    def test_small_odd_amplitudes_do_not_cancel(self, a):
+        closed = photon.qts_pnd_closed_form(a, a, 64, "odd")
+        assert abs(closed.sum() - 1.0) <= 1e-14
+        fock = photon.qts_pnd(states.preset(f"odd-cat({a})"), 64).probs
+        assert np.max(np.abs(closed - fock)) <= 1e-14
+
+    def test_spec_without_parity_rejected(self):
+        spec = states.SuperpositionSpec(terms=((4.0, 1.0), (7.0, 1.0)))
+        with pytest.raises(ValueError, match="even or odd"):
+            photon.pair_envelope(spec, 3.0)
+
+    def test_zero_amplitude_rejected(self):
+        spec = states.SuperpositionSpec(terms=((0.0, 1.0), (2.0, 1.0), (-2.0, 1.0)))
+        with pytest.raises(ValueError, match="strictly positive"):
+            photon.pair_envelope(spec, 3.0)
 
 
 class TestDigamma:

@@ -1,6 +1,7 @@
 """Wigner fields: kernels, closed form vs direct transform, integrals, bounds."""
 
 import math
+import timeit
 import tracemalloc
 import warnings
 
@@ -160,6 +161,82 @@ class TestClosedForm:
         # even spec: W(q, p) = W(-q, -p) = W(q, -p) on the symmetric grid
         assert np.max(np.abs(fld.values - fld.values[::-1, ::-1])) < 1e-12
         assert np.max(np.abs(fld.values - fld.values[:, ::-1])) < 1e-12
+
+
+def comb(k, spacing=3.0):
+    """k unit-weight teeth at (j - (k - 1)/2) * spacing."""
+    return states.SuperpositionSpec(
+        terms=tuple(((j - 0.5 * (k - 1)) * spacing, 1.0) for j in range(k)))
+
+
+def pairwise_loop(spec, grid):
+    """The closed form summed pair by pair, one outer product per (j, k)."""
+    qs, ps = grid.qs(), grid.ps()
+    w = np.zeros((grid.nq, grid.np))
+    for mj, cj in spec.terms:
+        for mk, ck in spec.terms:
+            gauss = np.exp(-2.0 * (qs - 0.5 * (mj + mk)) ** 2)
+            w += cj * ck * np.outer(gauss, np.exp(-0.5 * ps * ps) * np.cos(ps * (mj - mk)))
+    return w / (math.pi * states.normalization(spec))
+
+
+class TestPairTable:
+    CASES = {name: (states.preset(name), wigner.default_grid(states.preset(name)))
+             for name in ("Y1", "Y2", "Y3", "odd-cat(3)")}
+    # comb fringes need dp < pi / d_max, so the combs take a narrow p window
+    CASES.update({f"comb({k},3)": (comb(k), wigner.PhaseSpaceGrid(
+        -1.5 * k - 5.0, 1.5 * k + 5.0, -1.0, 1.0, 301, 161)) for k in (4, 8, 16, 32, 64)})
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_pairwise_loop(self, name):
+        spec, grid = self.CASES[name]
+        nq, npts = grid.nq, grid.np
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the narrow p window loses mass
+            got = wigner.wigner_closed_form(spec, grid).values
+        loop = pairwise_loop(spec, grid)
+        assert np.max(np.abs(got - loop)) <= 1e-14
+        # cross_kernel is the scalar oracle of the loop
+        n = states.normalization(spec)
+        for i, j in ((nq // 2, npts // 2), (nq // 3, npts // 5), (2 * nq // 3, 3 * npts // 4)):
+            q, p = grid.qs()[i], grid.ps()[j]
+            total = sum(cj * ck * wigner.cross_kernel(q, p, mj, mk)
+                        for mj, cj in spec.terms for mk, ck in spec.terms)
+            assert loop[i, j] == pytest.approx(total.real / n, abs=1e-14)
+
+    def test_wide_comb_is_fast(self):
+        spec = comb(64)
+        grid = wigner.default_grid(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # its default grid undersamples the fringes
+            best = min(timeit.repeat(lambda: wigner.wigner_closed_form(spec, grid),
+                                     number=1, repeat=3))
+        assert best < 0.1
+
+    def test_undersampled_fringes_warn(self):
+        # the widest pair of comb(32, 3) gets 1.7 samples per fringe period on its default grid
+        spec = comb(32)
+        with pytest.warns(UserWarning, match="fringes undersampled"):
+            wigner.wigner_closed_form(spec, wigner.default_grid(spec))
+
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3", "odd-cat(3)"])
+    @pytest.mark.parametrize("counts", [(601, 401), (61, 161)])
+    def test_sampled_fringes_do_not_warn(self, name, counts):
+        spec = states.preset(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wigner.wigner_closed_form(spec, wigner.default_grid(spec, *counts))
+
+    def test_field_is_not_copied(self):
+        spec = states.preset("Y1")
+        grid = wigner.default_grid(spec)
+        tracemalloc.start()
+        try:
+            wigner.wigner_closed_form(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * grid.nq * grid.np
 
 
 class TestNumericTransform:
