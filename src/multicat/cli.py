@@ -15,9 +15,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,7 @@ def _normalize_argv(argv: Sequence[str]) -> List[str]:
     return out
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multicat",
@@ -168,29 +169,44 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     )
 
 
+#: printf format of every number in the data files.  ``%`` formatting and
+#: ``format(x, ".12g")`` print a double through the same C routine.
+_CELL = "%.12g"
+
+#: Lines of a 1-D file formatted per write, so the text held stays bounded.
+_BLOCK_LINES = 4096
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    return _CELL % float(x)
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
-    """Stream numeric columns as CSV lines in the ``.12g`` format of ``_fmt``.
+    """Stream numeric columns as CSV lines; each write is one ``_CELL`` template filled in C.
 
-    Two axes and a 2-D last column (the Wigner grid) give one line per axis
-    pair; the second axis is formatted once and each first-axis row is one write.
+    1-D columns go a block of lines per write.  Two axes and a 2-D last
+    column (the Wigner grid) give one line per axis pair: the second axis is
+    formatted once into a row template, and each first-axis row heads it.
+    Templates are bytes, so no line is encoded or copied again on its way out.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
-    with path.open("w", newline="\n") as fh:
-        fh.write(header + "\n")
+    cell = _CELL.encode()
+    with path.open("wb") as fh:
+        fh.write(f"{header}\n".encode())
         if cols[-1].ndim == 1:
-            line = (",".join(["{:.12g}"] * len(cols)) + "\n").format
-            fh.writelines(line(*row) for row in zip(*(c.tolist() for c in cols), strict=True))
+            if len({c.size for c in cols}) > 1:
+                raise ValueError(f"columns differ in length: {[c.size for c in cols]}")
+            line = b",".join([cell] * len(cols)) + b"\n"
+            for i in range(0, cols[0].size, _BLOCK_LINES):
+                block = np.column_stack([c[i : i + _BLOCK_LINES] for c in cols])
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
             return
         qs, ps, values = cols
-        p_cells = [f"{p:.12g}," for p in ps.tolist()]
-        for q, row in zip(qs.tolist(), values, strict=True):
-            head = f"{q:.12g},"
-            fh.write("".join([f"{head}{p}{w:.12g}\n"
-                              for p, w in zip(p_cells, row.tolist(), strict=True)]))
+        if values.shape != (qs.size, ps.size):
+            raise ValueError(f"grid of shape {values.shape} for {qs.size} x {ps.size} axes")
+        row_template = b"".join(b"\0" + cell % p + b"," + cell + b"\n" for p in ps.tolist())
+        for q, row in zip(qs.tolist(), values):
+            fh.write(row_template.replace(b"\0", cell % q + b",") % tuple(row.tolist()))
 
 
 def _grid_for(cfg: RunConfig) -> wigner.PhaseSpaceGrid:
@@ -200,47 +216,51 @@ def _grid_for(cfg: RunConfig) -> wigner.PhaseSpaceGrid:
     return wigner.PhaseSpaceGrid(q[0], q[1], p[0], p[1], q[2], p[2])
 
 
-def _emit_wigner(cfg: RunConfig) -> List[Path]:
+#: One data file of a run: its path and the call that writes it.
+_Output = Tuple[Path, Callable[[], object]]
+
+
+def _csv(path: Path, header: str, *columns) -> _Output:
+    return path, partial(_write_csv, path, header, *columns)
+
+
+def _emit_wigner(cfg: RunConfig) -> List[_Output]:
     grid = _grid_for(cfg)
     fld = wigner.wigner_closed_form(cfg.spec, grid)
-    path = cfg.out_dir / "wigner_field.csv"
-    _write_csv(path, "q,p,w", grid.qs(), grid.ps(), fld.values)
-    return [path]
+    return [_csv(cfg.out_dir / "wigner_field.csv", "q,p,w", grid.qs(), grid.ps(), fld.values)]
 
 
-def _emit_marginals(cfg: RunConfig) -> List[Path]:
+def _emit_marginals(cfg: RunConfig) -> List[_Output]:
     grid = _grid_for(cfg)
     qcurve = marginals.position_marginal(cfg.spec, grid.qs())
     pcurve = marginals.momentum_marginal(cfg.spec, grid.ps())
-    qpath = cfg.out_dir / "marginal_position.csv"
-    ppath = cfg.out_dir / "marginal_momentum.csv"
-    _write_csv(qpath, "coordinate,density", qcurve.coordinates, qcurve.densities)
-    _write_csv(ppath, "coordinate,density", pcurve.coordinates, pcurve.densities)
-    return [qpath, ppath]
+    return [
+        _csv(cfg.out_dir / "marginal_position.csv", "coordinate,density",
+             qcurve.coordinates, qcurve.densities),
+        _csv(cfg.out_dir / "marginal_momentum.csv", "coordinate,density",
+             pcurve.coordinates, pcurve.densities),
+    ]
 
 
 def _effective_nmax(cfg: RunConfig) -> int:
     return cfg.nmax if cfg.nmax is not None else states.min_fock_truncation(cfg.spec)
 
 
-def _emit_pnd(cfg: RunConfig) -> List[Path]:
+def _emit_pnd(cfg: RunConfig) -> List[_Output]:
     dist = photon.qts_pnd(cfg.spec, _effective_nmax(cfg))
-    path = cfg.out_dir / "pnd.csv"
-    _write_csv(path, "n,probability", np.arange(dist.probs.size), dist.probs)
-    return [path]
+    return [_csv(cfg.out_dir / "pnd.csv", "n,probability", np.arange(dist.probs.size), dist.probs)]
 
 
-def _emit_envelope(cfg: RunConfig) -> List[Path]:
+def _emit_envelope(cfg: RunConfig) -> List[_Output]:
     ns = np.arange(0.0, _effective_nmax(cfg) + 0.25, 0.25)
     flags = (False, True)
     values, slopes = zip(*(photon.pair_envelope(cfg.spec, ns, flag) for flag in flags))
-    path = cfg.out_dir / "envelope.csv"
-    _write_csv(path, "n,value,derivative,with_interference", np.tile(ns, 2),
-               np.concatenate(values), np.concatenate(slopes), np.repeat(flags, ns.size))
-    return [path]
+    return [_csv(cfg.out_dir / "envelope.csv", "n,value,derivative,with_interference",
+                 np.tile(ns, 2), np.concatenate(values), np.concatenate(slopes),
+                 np.repeat(flags, ns.size))]
 
 
-def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[Path]:
+def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[_Output]:
     if cfg.domain is None:
         solver_cfg = wellsolver.default_solver_config(cfg.spec, points=cfg.points, gamma=cfg.gamma)
     else:
@@ -249,47 +269,52 @@ def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[Path]:
     xs = psi.xs
     peaks = psi.density_peaks()
 
-    paths: List[Path] = []
+    outputs: List[_Output] = []
     if include_curves:
-        vpath = cfg.out_dir / "well_potential.csv"
-        _write_csv(vpath, "x,V", xs, wellsolver.potential(well_spec, xs))
-        spath = cfg.out_dir / "well_wavefunction.csv"
-        _write_csv(spath, "x,psi", xs, psi.values)
-        paths.extend([vpath, spath])
+        outputs.append(_csv(cfg.out_dir / "well_potential.csv", "x,V",
+                            xs, wellsolver.potential(well_spec, xs)))
+        outputs.append(_csv(cfg.out_dir / "well_wavefunction.csv", "x,psi", xs, psi.values))
 
+    report = (
+        f"centers={','.join(_fmt(c) for c in well_spec.centers)}\n"
+        f"v0={_fmt(well_spec.v0)}\n"
+        f"gamma={_fmt(well_spec.gamma)}\n"
+        f"sigma={_fmt(well_spec.sigma)}\n"
+        f"depth_scales={','.join(_fmt(s) for s in well_spec.scales)}\n"
+        f"grid_step={_fmt(psi.dx)}\n"
+        f"energy={_fmt(psi.energy)}\n"
+        f"iterations={psi.iterations}\n"
+        f"residual={_fmt(psi.residual)}\n"
+        f"fidelity={_fmt(fid)}\n"
+        f"peak_positions={','.join(_fmt(p) for p in peaks)}\n"
+    )
     rpath = cfg.out_dir / "well_report.txt"
-    with rpath.open("w", newline="\n") as fh:
-        fh.write(f"centers={','.join(_fmt(c) for c in well_spec.centers)}\n")
-        fh.write(f"v0={_fmt(well_spec.v0)}\n")
-        fh.write(f"gamma={_fmt(well_spec.gamma)}\n")
-        fh.write(f"sigma={_fmt(well_spec.sigma)}\n")
-        fh.write(f"depth_scales={','.join(_fmt(s) for s in well_spec.scales)}\n")
-        fh.write(f"grid_step={_fmt(psi.dx)}\n")
-        fh.write(f"energy={_fmt(psi.energy)}\n")
-        fh.write(f"iterations={psi.iterations}\n")
-        fh.write(f"residual={_fmt(psi.residual)}\n")
-        fh.write(f"fidelity={_fmt(fid)}\n")
-        fh.write(f"peak_positions={','.join(_fmt(p) for p in peaks)}\n")
-    paths.append(rpath)
-    return paths
+    outputs.append((rpath, partial(rpath.write_text, report, newline="\n")))
+    return outputs
 
 
 def run(cfg: RunConfig) -> List[Path]:
-    """Execute a parsed configuration; returns the emitted data files."""
+    """Execute a parsed configuration; returns the emitted data files.
+
+    Every step computes before any file is written, so a step that fails
+    leaves no data file of this run behind without a manifest.
+    """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    emitted: List[Path] = []
+    outputs: List[_Output] = []
     if cfg.command in ("wigner", "all"):
-        emitted += _emit_wigner(cfg)
+        outputs += _emit_wigner(cfg)
     if cfg.command in ("marginals", "all"):
-        emitted += _emit_marginals(cfg)
+        outputs += _emit_marginals(cfg)
     if cfg.command in ("pnd", "all"):
-        emitted += _emit_pnd(cfg)
+        outputs += _emit_pnd(cfg)
     if cfg.command in ("envelope", "all"):
-        emitted += _emit_envelope(cfg)
+        outputs += _emit_envelope(cfg)
     if cfg.command == "well":
-        emitted += _emit_well(cfg, include_curves=True)
+        outputs += _emit_well(cfg, include_curves=True)
     elif cfg.command == "all":
-        emitted += _emit_well(cfg, include_curves=False)
+        outputs += _emit_well(cfg, include_curves=False)
+    for _, write in outputs:
+        write()
 
     manifest = cfg.out_dir / "manifest.txt"
     with manifest.open("w", newline="\n") as fh:
@@ -304,9 +329,9 @@ def run(cfg: RunConfig) -> List[Path]:
         if cfg.nmax is not None:
             fh.write(f"nmax={cfg.nmax}\n")
         fh.write(f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
-        for path in emitted:
+        for path, _ in outputs:
             fh.write(f"output={path.name}\n")
-    return emitted
+    return [path for path, _ in outputs]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

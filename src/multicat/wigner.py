@@ -248,6 +248,10 @@ def integrate(field: WignerField) -> float:
 
 
 def negativity_volume(field: WignerField) -> float:
-    """Integrated negative part Int max(-W, 0) dq dp, a nonclassicality witness."""
-    neg = np.maximum(-field.values, 0.0)
-    return _trapz2d(neg, field.grid.dq, field.grid.dp)
+    """Integrated negative part Int max(-W, 0) dq dp, a nonclassicality witness.
+
+    Integrates min(W, 0), the one field-sized temporary, and negates the
+    integral: bit-equal to integrating max(-W, 0), and +0.0 for a field with
+    no negative part.
+    """
+    return 0.0 - _trapz2d(np.minimum(field.values, 0.0), field.grid.dq, field.grid.dp)

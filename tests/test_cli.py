@@ -39,6 +39,14 @@ class TestParsing:
             parse(["wigner", "--preset", "Y1", "--preset", "Y2"])
         assert err.value.code == 2
 
+    def test_parser_is_built_once_and_reused(self, capsys):
+        # --preset appends to a default of None, so a reused parser starts each parse afresh
+        first = parse(["pnd", "--preset", "Y1"])
+        second = parse(["pnd", "--preset", "Y1"])
+        assert first.spec == second.spec == states.preset("Y1")
+        assert "conflicting spec sources" not in capsys.readouterr().err
+        assert cli._build_parser() is cli._build_parser()
+
     def test_preset_and_amps_conflict(self):
         with pytest.raises(SystemExit) as err:
             parse(["pnd", "--preset", "Y1", "--amps", "1,2"])
@@ -153,6 +161,20 @@ class TestRuns:
         rc = cli.main(["pnd", "--preset", "Y1", "--nmax", "130", "--out", str(tmp_path)])
         assert rc == 1
         assert "truncation too small" in capsys.readouterr().err
+
+    def test_failing_step_leaves_no_data_file(self, tmp_path, capsys):
+        # the envelope step refuses a target without parity, after three steps computed
+        out = tmp_path / "run"
+        assert cli.main(["all", "--amps", "4,7", "--out", str(out)]) == 1
+        assert "even or odd" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+        assert list(out.iterdir()) == []
+
+    def test_failing_run_keeps_an_earlier_run_whole(self, tmp_path):
+        assert cli.main(["pnd", "--preset", "even-cat(2)", "--out", str(tmp_path)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert cli.main(["all", "--amps", "4,7", "--out", str(tmp_path)]) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_cancelling_fock_sum_is_runtime_error(self, tmp_path, capsys):
         argv = ["pnd", "--amps=-1e-4,0,1e-4", "--coeffs=1,-2,1", "--out", str(tmp_path)]
@@ -296,12 +318,15 @@ class TestByteFormat:
     EDGE = [-0.0, 5e-324, 1e16, 1e-5, 3.0]
 
     def test_all_files_match_library_arrays(self, tmp_path):
+        # 49 p points over |p| <= 8 give the widest pair 1.6 samples per fringe period
         argv = ["all", "--preset", "Y3", "--qrange", "-11:11:67", "--prange", "-8:8:49"]
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        with pytest.warns(UserWarning, match="fringes undersampled"):
+            assert cli.main(argv + ["--out", str(tmp_path)]) == 0
         spec = states.preset("Y3")
         grid = wigner.PhaseSpaceGrid(-11.0, 11.0, -8.0, 8.0, 67, 49)
         qs, ps = grid.qs(), grid.ps()
-        field = wigner.wigner_closed_form(spec, grid).values
+        with pytest.warns(UserWarning, match="fringes undersampled"):
+            field = wigner.wigner_closed_form(spec, grid).values
         qcurve = marginals.position_marginal(spec, qs)
         pcurve = marginals.momentum_marginal(spec, ps)
         nmax = states.min_fock_truncation(spec)
@@ -357,6 +382,27 @@ class TestByteFormat:
         assert path.read_text().splitlines()[1] == "-0,1e+16,-0"
 
 
+    def test_blocks_with_a_partial_last_block_and_a_flag_column(self, tmp_path):
+        n = 2 * cli._BLOCK_LINES + 123
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        flags = np.arange(n) % 3 == 0
+        path = tmp_path / "long.csv"
+        cli._write_csv(path, "n,x,flag", np.arange(n), xs, flags)
+        assert path.read_text() == csv_text("n,x,flag", np.arange(n), xs, flags)
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (cli._BLOCK_LINES, cli._BLOCK_LINES + 1)])
+    def test_columns_of_unequal_length_raise(self, tmp_path, sizes):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "bad.csv", "x,y", *(np.zeros(n) for n in sizes))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 2)])
+    def test_grid_not_matching_its_axes_raises(self, tmp_path, shape):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "bad.csv", "q,p,w", [0.0, 1.0, 2.0], [0.0, 1.0],
+                           np.zeros(shape))
+
+
 class TestStreaming:
     def test_wigner_csv_peak_memory_stays_near_the_field(self, tmp_path):
         # a writer that builds the 241,001-line file in memory peaks at tens of MB
@@ -371,3 +417,16 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert cli_peak < 2 * field_peak
+
+    def test_long_columns_peak_well_below_the_text(self, tmp_path):
+        # a writer that holds every row's floats or the whole text peaks at several MB
+        xs = np.linspace(-1.0, 1.0, 200_001)
+        ys = np.sin(xs)
+        path = tmp_path / "long.csv"
+        tracemalloc.start()
+        try:
+            cli._write_csv(path, "x,y", xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4

@@ -427,6 +427,29 @@ class TestIntegrals:
         assert wigner.negativity_volume(first) > wigner.negativity_volume(cat_on_same)
 
 
+    @pytest.mark.parametrize("name", ["Y1", "Y3", "odd-cat(3)"])
+    def test_negativity_has_one_temporary_and_the_old_bits(self, name):
+        spec = states.preset(name)
+        fld = wigner.wigner_closed_form(spec, wigner.default_grid(spec))
+        tracemalloc.start()
+        try:
+            value = wigner.negativity_volume(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * fld.values.nbytes
+        old = wigner._trapz2d(np.maximum(-fld.values, 0.0), fld.grid.dq, fld.grid.dp)
+        assert value.hex() == old.hex()
+
+    def test_negativity_of_a_nonnegative_field_is_plus_zero(self):
+        vac = wigner.wigner_closed_form(
+            states.preset("vacuum"), wigner.default_grid(states.preset("vacuum"))
+        )
+        assert np.all(vac.values >= 0.0)
+        value = wigner.negativity_volume(vac)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 class TestGridValidation:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
