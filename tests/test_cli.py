@@ -167,8 +167,7 @@ class TestRuns:
         out = tmp_path / "run"
         assert cli.main(["all", "--amps", "4,7", "--out", str(out)]) == 1
         assert "even or odd" in capsys.readouterr().err
-        assert list(out.glob("*.csv")) == []
-        assert list(out.iterdir()) == []
+        assert list(out.iterdir()) == []  # no CSV, no manifest
 
     def test_failing_run_keeps_an_earlier_run_whole(self, tmp_path):
         assert cli.main(["pnd", "--preset", "even-cat(2)", "--out", str(tmp_path)]) == 0
@@ -380,7 +379,6 @@ class TestByteFormat:
             "q,p,w", np.repeat(qs, 3), np.tile(ps, 2), values.ravel()
         )
         assert path.read_text().splitlines()[1] == "-0,1e+16,-0"
-
 
     def test_blocks_with_a_partial_last_block_and_a_flag_column(self, tmp_path):
         n = 2 * cli._BLOCK_LINES + 123

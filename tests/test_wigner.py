@@ -426,7 +426,6 @@ class TestIntegrals:
         assert wigner.negativity_volume(cat) > 0.0
         assert wigner.negativity_volume(first) > wigner.negativity_volume(cat_on_same)
 
-
     @pytest.mark.parametrize("name", ["Y1", "Y3", "odd-cat(3)"])
     def test_negativity_has_one_temporary_and_the_old_bits(self, name):
         spec = states.preset(name)
