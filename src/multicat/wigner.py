@@ -161,11 +161,13 @@ def wigner_numeric(
     k hx (k < m) and L, which defaults to the q-extent of the grid; L and
     ``x_step``, the bound on hx, must be positive and finite.  hx = 2 b eps
     for a step eps that divides dq, so every spline argument lies on one
-    lattice of step eps, sampled once.  Each block of ``_Q_BLOCK`` q rows is
-    one GEMM against an (m + 1, np) kernel cos(xp), trimmed to the x columns
-    that can reach inside ``xs`` (the rest are exact zeros), so memory holds
-    the kernel, the field, one block and the lattice (2 b / np of the
-    kernel).  Warns ``mass deficit``.
+    lattice of step eps, sampled once.  W is even in p, so of two columns at
+    +-p only the one on the side of p = 0 that reaches further is computed:
+    the (m + 1, n') kernel cos(xp) (n' = 201 of 401 on the default grid) is
+    built by angle addition from tables at x = 32 k0 hx and k1 hx.  Each block
+    of ``_Q_BLOCK`` q rows is one GEMM against it, trimmed to the x columns that
+    can reach inside ``xs`` (the rest are exact zeros), so memory holds the
+    kernel, the field, one block and the lattice.  Warns ``mass deficit``.
     """
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: the quadrature assumes a real wavefunction sample")
@@ -207,9 +209,21 @@ def wigner_numeric(
     qs = grid.qs()
     end = np.nan_to_num(interp(qs + 0.5 * x_half_width) * interp(qs - 0.5 * x_half_width), nan=0.0)
 
-    kern = np.multiply.outer(xn, grid.ps())
-    np.cos(kern, out=kern)
+    # W(q, -p) = W(q, p) for a real psi.  Seen from the end of the p axis that reaches further
+    # from 0, column t - j holds -p_j, and the first c columns are copied from those twins
+    r, flip = -2.0 * grid.p_min / grid.dp, grid.p_max < -grid.p_min
+    t = 2 * grid.np - 2 - round(r) if flip else round(r)
+    c = max(0, (t + 1) // 2) if abs(r - round(r)) < 1e-6 else 0
+    pc = (grid.ps()[::-1] if flip else grid.ps())[c:]
+    # cos(x p) at x = (32 k0 + k1) hx by angle addition; row m is the end node x = L
+    big, small = (np.multiply.outer(hx * np.arange(0, n, k), pc) for n, k in ((m + 1, 32), (32, 1)))
+    kern, sb = np.cos(big)[:, None] * np.cos(small), np.sin(big)  # kern[k0, k1] at row 32 k0 + k1
+    for k1, s1 in enumerate(np.sin(small)):
+        kern[:, k1] -= sb * s1
+    kern = kern.reshape(-1, pc.size)  # rows past m are unused
+    kern[m] = np.cos(x_half_width * pc)
     w = np.empty((grid.nq, grid.np))
+    v = w[:, ::-1] if flip else w
     for i in range(0, grid.nq, _Q_BLOCK):
         q = qs[i : i + _Q_BLOCK, None]
         # past x = 2 reach one factor lies outside xs (NaN, so 0) in every row;
@@ -220,7 +234,8 @@ def wigner_numeric(
         np.multiply(up[i : i + _Q_BLOCK, :n], down[i : i + _Q_BLOCK, :n], out=prod[:, :m])
         prod[:, m:] = end[i : i + _Q_BLOCK, None]  # the end node, when kept
         prod *= trap_w[:n]
-        w[i : i + _Q_BLOCK] = prod @ kern[:n]
+        v[i : i + _Q_BLOCK, c:] = prod @ kern[:n]
+        v[i : i + _Q_BLOCK, :c] = v[i : i + _Q_BLOCK, t : t - c : -1]
         del prod  # free this block before the next one is sampled
     w /= 2.0 * math.pi
     return _checked_field(grid, w)

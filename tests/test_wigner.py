@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from multicat import states, wigner
+from multicat import states, wellsolver, wigner
 
 
 def sampled_wavefunction(spec, margin=6.0, n=6501):
@@ -272,6 +272,16 @@ class TestNumericTransform:
         fcf = wigner.wigner_closed_form(spec, grid)
         assert np.max(np.abs(fnum.values - fcf.values)) <= 2e-12
 
+    def test_default_step_holds_on_solver_samples(self):
+        # the well state's spline error grows like hx^2 (1.4e-11 here); a step sized only to
+        # the aliasing bound, 2 pi / (max|p| + 10 sigma_p), put it at 5.3e-9
+        _, psi, _ = wellsolver.solve_well(states.preset("Y1"))
+        half = states.preset("Y1").max_amplitude + 4.0
+        grid = wigner.PhaseSpaceGrid(-half, half, -8.0, 8.0, 221, 161)
+        got = wigner.wigner_numeric(psi.xs, psi.values, grid)
+        fine = wigner.wigner_numeric(psi.xs, psi.values, grid, x_step=0.005)
+        assert np.max(np.abs(got.values - fine.values)) <= 1e-10
+
     def test_non_uniform_samples(self):
         # xs need only increase: 6501 sinh-mapped samples, 3.8x denser at the centre
         spec = states.preset("Y3")
@@ -376,13 +386,34 @@ class TestBlockedTransform:
         ref = per_row_reference(xs, psi, grid, half_width=half_width)
         assert np.max(np.abs(got.values - ref)) <= 1e-14
 
+    @pytest.mark.filterwarnings("ignore:mass deficit")  # 2 to 41 p points alias the fringes
+    @pytest.mark.parametrize("name", ["Y3", "odd-cat(3)", "skew"])
+    @pytest.mark.parametrize("window", [
+        (-8.0, 8.0, 41), (-8.0, 8.0, 40), (-2.0, 8.0, 41), (-8.0, 2.0, 41),
+        (1.0, 8.0, 41), (-8.0, -1.0, 41), (-8.0, 8.0, 2),
+    ], ids=["p0-on-grid", "p0-off-grid", "longer-above", "longer-below", "positive",
+            "negative", "two-points"])
+    def test_p_mirror_matches_per_row_reference(self, name, window):
+        # W(q, -p) = W(q, p): only the columns without a mirror on the longer side are computed
+        spec = self.SKEW if name == "skew" else states.preset(name)
+        xs, psi = sampled_wavefunction(spec, n=2001)
+        half = spec.max_amplitude + 5.0
+        grid = wigner.PhaseSpaceGrid(-half, half, window[0], window[1], 65, window[2])
+        got = wigner.wigner_numeric(xs, psi, grid).values
+        assert np.max(np.abs(got - per_row_reference(xs, psi, grid))) <= 1e-14
+        ps = grid.ps()
+        twin = np.abs(ps[:, None] + ps[None, :]) < 1e-9  # twin[j, k]: p_k = -p_j
+        for j, k in zip(*np.nonzero(twin)):
+            assert np.array_equal(got[:, j], got[:, k])  # a copy, not a second quadrature
+
     def test_peak_memory_is_kernel_plus_field(self):
-        # materialising the (nq, m + 1) product matrix (5.8 MB) would exceed the headroom
+        # materialising the (nq, m + 1) product matrix (5.8 MB) would exceed the headroom;
+        # the kernel spans the 201 columns p >= 0 of 401, the rest are their mirrors
         spec = states.preset("Y1")
         xs, psi = sampled_wavefunction(spec)
         grid = wigner.default_grid(spec)
         m = int(math.ceil((grid.q_max - grid.q_min) / 0.02))
-        kernel_and_field = 8 * ((m + 1) * grid.np + grid.nq * grid.np)
+        kernel_and_field = 8 * ((m + 1) * 201 + grid.nq * grid.np)
         tracemalloc.start()
         try:
             wigner.wigner_numeric(xs, psi, grid)
