@@ -47,9 +47,9 @@ class RunConfig:
     qrange: Optional[Tuple[float, float, int]] = None
     prange: Optional[Tuple[float, float, int]] = None
     nmax: Optional[int] = None
-    points: int = 4001
+    points: int = wellsolver.DEFAULT_POINTS
     domain: Optional[Tuple[float, float]] = None
-    gamma: float = 2.0
+    gamma: float = wellsolver.DEFAULT_GAMMA
 
 
 def _parse_bounds(text: str, fields: int) -> tuple:
@@ -115,9 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
         p.add_argument("--nmax", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--points", type=int, default=4001, help="solver grid points")
+        p.add_argument("--points", type=int, default=wellsolver.DEFAULT_POINTS,
+                       help="solver grid points")
         p.add_argument("--domain", type=parse_domain, default=None, metavar="MIN:MAX")
-        p.add_argument("--gamma", type=float, default=2.0, help="well shape parameter")
+        p.add_argument("--gamma", type=float, default=wellsolver.DEFAULT_GAMMA,
+                       help="well shape parameter")
     return parser
 
 

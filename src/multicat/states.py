@@ -47,6 +47,10 @@ TRUNCATION_TOLERANCE = 1e-12
 #: Largest term mismatch against the mirrored term list that still counts as parity.
 PARITY_TOLERANCE = 1e-12
 
+#: Largest |psi| allowed at either end of a sampled wavefunction, relative to
+#: max |psi|; ``wellsolver.ground_state`` and ``wigner.wigner_numeric`` refuse more.
+BOUNDARY_DECAY = 1e-10
+
 
 @dataclass(frozen=True)
 class SuperpositionSpec:

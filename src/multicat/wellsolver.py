@@ -15,8 +15,8 @@ and solved for its lowest eigenpair by LAPACK (``dstebz``/``dstein``
 through ``scipy.linalg.eigh_tridiagonal``).  A reflection-symmetric H is
 solved on one half of the grid in the requested parity sector: the even
 sector keeps the centre row and scales its coupling by sqrt(2), the odd
-sector drops it (psi(0) = 0).  A solution that has not decayed to 1e-10 of
-its peak at both grid ends is refused (ValueError), as in
+sector drops it (psi(0) = 0).  A solution that has not decayed to
+BOUNDARY_DECAY of its peak at both grid ends is refused (ValueError), as in
 ``wigner.wigner_numeric``, and so is a well grid whose step exceeds
 MAX_STEP_FRACTION of the narrower of the well and coherent widths.
 
@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .states import SuperpositionSpec, position_wavefunction, readonly
+from .states import BOUNDARY_DECAY, SuperpositionSpec, position_wavefunction, readonly
 
 __all__ = [
     "WellPotentialSpec",
@@ -65,6 +65,12 @@ SCALE_BRACKET = (0.5, 1.5)
 
 #: Minimum allowed centre separation, two coherent-state position widths.
 MIN_GAP = 1.0
+
+#: Default well shape parameter gamma of ``solve_well`` and the CLI.
+DEFAULT_GAMMA = 2.0
+
+#: Default solver grid points of ``SolverConfig`` and the CLI.
+DEFAULT_POINTS = 4001
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class SolverConfig:
     """Domain and resolution of the eigensolver's grid."""
 
     domain: Tuple[float, float]
-    points: int = 4001
+    points: int = DEFAULT_POINTS
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -158,11 +164,6 @@ def potential(spec: WellPotentialSpec, x) -> np.ndarray | float:
     if np.isscalar(x) or xa.ndim == 0:
         return float(out)
     return out
-
-
-#: Largest |psi| allowed at either grid end, relative to max |psi|; the same
-#: rule ``wigner.wigner_numeric`` applies to its input.
-BOUNDARY_DECAY = 1e-10
 
 
 def ground_state(
@@ -252,7 +253,7 @@ def _probe_decay_rate(gamma: float) -> float:
 
 
 def default_solver_config(
-    target: SuperpositionSpec, points: int = 4001, gamma: float = 2.0
+    target: SuperpositionSpec, points: int = DEFAULT_POINTS, gamma: float = DEFAULT_GAMMA
 ) -> SolverConfig:
     """Symmetric domain around the target's wells, wide enough for the tails to die.
 
@@ -302,7 +303,7 @@ def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
 
 def solve_well(
     target: SuperpositionSpec,
-    gamma: float = 2.0,
+    gamma: float = DEFAULT_GAMMA,
     cfg: Optional[SolverConfig] = None,
 ) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
     """Calibrated wells for a target superposition, their ground state and its fidelity.

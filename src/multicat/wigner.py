@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.interpolate import CubicSpline
 
-from .states import SuperpositionSpec, normalization, readonly
+from .states import BOUNDARY_DECAY, SuperpositionSpec, normalization, readonly
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -83,21 +83,22 @@ class PhaseSpaceGrid:
 class WignerField:
     """Wigner function samples ``values[i, j] = W(q_i, p_j)`` on a grid.
 
-    ``mass`` is the trapezoidal double integral; ``mass_deficit`` marks
-    fields whose grid visibly failed to contain the state.
+    ``mass`` is the trapezoidal double integral, worked out from ``values``;
+    ``mass_deficit`` marks fields whose mass is off one by more than
+    MASS_TOLERANCE, because the grid visibly failed to contain the state.
     """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
-    mass: float = float("nan")
-    mass_deficit: bool = False
+    mass: float = field(init=False)
+    mass_deficit: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", readonly(self.values))
         if self.values.shape != (self.grid.nq, self.grid.np):
             raise ValueError("values must have shape (nq, np)")
-        if math.isnan(self.mass):
-            object.__setattr__(self, "mass", integrate(self))
+        object.__setattr__(self, "mass", integrate(self))
+        object.__setattr__(self, "mass_deficit", abs(self.mass - 1.0) > MASS_TOLERANCE)
 
 
 def default_grid(spec: SuperpositionSpec, nq: int = 601, npts: int = 401) -> PhaseSpaceGrid:
@@ -146,28 +147,26 @@ def wigner_closed_form(spec: SuperpositionSpec, grid: PhaseSpaceGrid) -> WignerF
 
 
 def wigner_numeric(
-    xs: np.ndarray,
-    psi: np.ndarray,
-    grid: PhaseSpaceGrid,
-    x_half_width: float | None = None,
-    x_step: float = 0.02,
+    xs: np.ndarray, psi: np.ndarray, grid: PhaseSpaceGrid, *, x_step: float = 0.02
 ) -> WignerField:
     """Wigner transform of a sampled wavefunction by direct quadrature.
 
     ``psi`` must be real and sampled on strictly increasing ``xs`` (ValueError
-    otherwise), decayed below 1e-10 at both ends (else ValueError: domain too
-    small).  A real ``psi`` makes P(q, x) = psi(q + x/2) psi(q - x/2) even in
-    x, so W = (1/pi) Int_0^L cos(px) P dx, by the trapezoidal rule on nodes
-    k hx (k < m) and L, which defaults to the q-extent of the grid; L and
-    ``x_step``, the bound on hx, must be positive and finite.  hx = 2 b eps
-    for a step eps that divides dq, so every spline argument lies on one
-    lattice of step eps, sampled once.  W is even in p, so of two columns at
-    +-p only the one on the side of p = 0 that reaches further is computed:
-    the (m + 1, n') kernel cos(xp) (n' = 201 of 401 on the default grid) is
-    built by angle addition from tables at x = 32 k0 hx and k1 hx.  Each block
-    of ``_Q_BLOCK`` q rows is one GEMM against it, trimmed to the x columns that
-    can reach inside ``xs`` (the rest are exact zeros), so memory holds the
-    kernel, the field, one block and the lattice.  Warns ``mass deficit``.
+    otherwise), decayed below BOUNDARY_DECAY of its peak at both ends (else
+    ValueError: domain too small).  A real ``psi`` makes P(q, x) = psi(q + x/2)
+    psi(q - x/2) even in x, so W = (1/pi) Int_0^oo cos(px) P dx, by the
+    trapezoidal rule on nodes k hx.  P vanishes once q +- x/2 leaves ``xs``, so
+    the nodes stop at k = m = ceil(2 R / hx), R the largest distance from a
+    grid q to the nearer end of ``xs``.  hx = 2 b eps for a step eps that
+    divides dq, at most ``x_step`` (positive and finite), so every spline
+    argument lies on one lattice of step eps, sampled once.  W is even in p,
+    so of two columns at +-p only the one on the side of p = 0 that reaches
+    further is computed: the (m + 1, n') kernel cos(xp) (n' = 201 of 401 on
+    the default grid) is built by angle addition from tables at x = 32 k0 hx
+    and k1 hx.  Each block of ``_Q_BLOCK`` q rows is one GEMM against it,
+    trimmed to the x columns that can reach inside ``xs`` (the rest are exact
+    zeros), so memory holds the kernel, the field, one block and the lattice.
+    Warns ``mass deficit``.
     """
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: the quadrature assumes a real wavefunction sample")
@@ -175,13 +174,10 @@ def wigner_numeric(
     psi = np.asarray(psi, dtype=float)
     if xs.ndim != 1 or xs.shape != psi.shape or xs.size < 4:
         raise ValueError("psi must be sampled on a 1-D grid matching xs")
-    scale = float(np.max(np.abs(psi)))
-    if abs(psi[0]) > 1e-10 * max(scale, 1.0) or abs(psi[-1]) > 1e-10 * max(scale, 1.0):
+    if max(abs(psi[0]), abs(psi[-1])) > BOUNDARY_DECAY * float(np.max(np.abs(psi))):
         raise ValueError("domain too small: psi has not decayed at the boundary")
-    if x_half_width is None:
-        x_half_width = grid.q_max - grid.q_min
-    if not (0 < x_step < math.inf and 0 < x_half_width < math.inf):
-        raise ValueError("x_step and x_half_width must be positive and finite")
+    if not 0 < x_step < math.inf:
+        raise ValueError("x_step must be positive and finite")
     interp = CubicSpline(xs, psi, extrapolate=False)  # refuses xs that do not increase
     # every spline argument q_i +- x_k/2 lies on one lattice q_min + j eps: dq = a eps and
     # hx = 2 b eps <= x_step, a <= 3 ceil(2 dq / x_step).  Take the longest hx that is not within
@@ -197,17 +193,17 @@ def wigner_numeric(
                key=rank)
     eps = grid.dq / a
     hx = 2 * b * eps
-    m = max(1, math.ceil(x_half_width / hx - 1e-9))  # no near-empty last panel
-    xn = np.append(hx * np.arange(m), x_half_width)
-    trap_w = np.append(xn[1:], x_half_width) - np.append(0.0, xn[:-1])  # folded trapezoid
-    reach0 = (m - 1) * b  # lattice index of q_min
-    lattice = grid.q_min + eps * np.arange(-reach0, (grid.nq - 1) * a + reach0 + 1)
+    qs = grid.qs()
+    reach = np.minimum(xs[-1] - qs, qs - xs[0])  # past x = 2 reach one factor lies outside xs
+    m = max(0, math.ceil(2.0 * reach.max() / hx))
+    trap_w = np.full(m + 1, 2.0 * hx)  # folded trapezoid
+    trap_w[0] = hx
+    lattice = grid.q_min + eps * np.arange(-m * b, (grid.nq - 1) * a + m * b + 1)
     f = np.nan_to_num(interp(lattice), nan=0.0, copy=False)
     # strided views: up[i, k] and down[i, k] are the samples at q_i + x_k/2 and q_i - x_k/2
-    up = as_strided(f[reach0:], (grid.nq, m), (a * f.itemsize, b * f.itemsize), writeable=False)
-    down = as_strided(f[reach0:], (grid.nq, m), (a * f.itemsize, -b * f.itemsize), writeable=False)
-    qs = grid.qs()
-    end = np.nan_to_num(interp(qs + 0.5 * x_half_width) * interp(qs - 0.5 * x_half_width), nan=0.0)
+    up = as_strided(f[m * b :], (grid.nq, m + 1), (a * f.itemsize, b * f.itemsize), writeable=False)
+    down = as_strided(f[m * b :], (grid.nq, m + 1), (a * f.itemsize, -b * f.itemsize),
+                      writeable=False)
 
     # W(q, -p) = W(q, p) for a real psi.  Seen from the end of the p axis that reaches further
     # from 0, column t - j holds -p_j, and the first c columns are copied from those twins
@@ -215,24 +211,18 @@ def wigner_numeric(
     t = 2 * grid.np - 2 - round(r) if flip else round(r)
     c = max(0, (t + 1) // 2) if abs(r - round(r)) < 1e-6 else 0
     pc = (grid.ps()[::-1] if flip else grid.ps())[c:]
-    # cos(x p) at x = (32 k0 + k1) hx by angle addition; row m is the end node x = L
+    # cos(x p) at x = (32 k0 + k1) hx by angle addition
     big, small = (np.multiply.outer(hx * np.arange(0, n, k), pc) for n, k in ((m + 1, 32), (32, 1)))
     kern, sb = np.cos(big)[:, None] * np.cos(small), np.sin(big)  # kern[k0, k1] at row 32 k0 + k1
     for k1, s1 in enumerate(np.sin(small)):
         kern[:, k1] -= sb * s1
     kern = kern.reshape(-1, pc.size)  # rows past m are unused
-    kern[m] = np.cos(x_half_width * pc)
     w = np.empty((grid.nq, grid.np))
     v = w[:, ::-1] if flip else w
     for i in range(0, grid.nq, _Q_BLOCK):
-        q = qs[i : i + _Q_BLOCK, None]
-        # past x = 2 reach one factor lies outside xs (NaN, so 0) in every row;
-        # the slack of half a column absorbs rounding at the bound
-        reach = float(np.max(np.minimum(xs[-1] - q, q - xs[0])))
-        n = int(np.searchsorted(xn, 2.0 * reach + 0.5 * hx, side="right"))
-        prod = np.empty((len(q), n))
-        np.multiply(up[i : i + _Q_BLOCK, :n], down[i : i + _Q_BLOCK, :n], out=prod[:, :m])
-        prod[:, m:] = end[i : i + _Q_BLOCK, None]  # the end node, when kept
+        # the slack of half a column absorbs rounding at the block's reach
+        n = min(m + 1, max(0, math.floor(2.0 * reach[i : i + _Q_BLOCK].max() / hx + 0.5) + 1))
+        prod = up[i : i + _Q_BLOCK, :n] * down[i : i + _Q_BLOCK, :n]
         prod *= trap_w[:n]
         v[i : i + _Q_BLOCK, c:] = prod @ kern[:n]
         v[i : i + _Q_BLOCK, :c] = v[i : i + _Q_BLOCK, t : t - c : -1]
@@ -244,11 +234,11 @@ def wigner_numeric(
 def _checked_field(grid: PhaseSpaceGrid, w: np.ndarray) -> WignerField:
     """Field of ``w``, made read-only, not copied; warns ``mass deficit`` past MASS_TOLERANCE."""
     w.flags.writeable = False
-    mass = _trapz2d(w, grid.dq, grid.dp)
-    deficit = abs(mass - 1.0) > MASS_TOLERANCE
-    if deficit:
-        warnings.warn(f"mass deficit: field integrates to {mass:.6g} on this grid", stacklevel=3)
-    return WignerField(grid=grid, values=w, mass=mass, mass_deficit=deficit)
+    fld = WignerField(grid=grid, values=w)
+    if fld.mass_deficit:
+        warnings.warn(f"mass deficit: field integrates to {fld.mass:.6g} on this grid",
+                      stacklevel=3)
+    return fld
 
 
 def _trapz2d(values: np.ndarray, dq: float, dp: float) -> float:

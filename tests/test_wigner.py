@@ -1,5 +1,6 @@
 """Wigner fields: kernels, closed form vs direct transform, integrals, bounds."""
 
+import functools
 import math
 import timeit
 import tracemalloc
@@ -9,13 +10,19 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from multicat import states, wellsolver, wigner
+from multicat import marginals, states, wellsolver, wigner
 
 
 def sampled_wavefunction(spec, margin=6.0, n=6501):
     m = spec.max_amplitude + margin
     xs = np.linspace(-m, m, n)
     return xs, np.asarray(states.position_wavefunction(spec, xs))
+
+
+@functools.cache
+def solver_samples(name):
+    """The ``solve_well`` ground state of a preset, sampled on its solver grid."""
+    return wellsolver.solve_well(states.preset(name))[1]
 
 
 def vacuum_transform_oracle(q, p):
@@ -47,18 +54,15 @@ def lattice_step(xs, grid, x_step=0.02):
     return 2 * b * (grid.dq / a)
 
 
-def per_row_reference(xs, psi, grid, half_width=None):
-    """The quadrature one q row at a time over [-L, L]; L defaults to the q-extent.
+def per_row_reference(xs, psi, grid):
+    """The quadrature one q row at a time over the whole sampled span.
 
-    Nodes are k hx for |k| < m plus +-L, hx = lattice_step, m = ceil(L / hx);
+    Nodes are k hx for |k| <= ceil((xs[-1] - xs[0]) / hx), hx = lattice_step;
     the trapezoid weights are those of the whole line, not folded onto x >= 0.
     """
-    if half_width is None:
-        half_width = grid.q_max - grid.q_min
     hx = lattice_step(xs, grid)
-    m = max(1, math.ceil(half_width / hx - 1e-9))
-    pos = np.append(hx * np.arange(1, m), half_width)
-    xg = np.concatenate((-pos[::-1], [0.0], pos))
+    k = math.ceil((xs[-1] - xs[0]) / hx)
+    xg = hx * np.arange(-k, k + 1)
     interp = CubicSpline(xs, psi, extrapolate=False)
 
     def sample(points):
@@ -275,12 +279,23 @@ class TestNumericTransform:
     def test_default_step_holds_on_solver_samples(self):
         # the well state's spline error grows like hx^2 (1.4e-11 here); a step sized only to
         # the aliasing bound, 2 pi / (max|p| + 10 sigma_p), put it at 5.3e-9
-        _, psi, _ = wellsolver.solve_well(states.preset("Y1"))
+        psi = solver_samples("Y1")
         half = states.preset("Y1").max_amplitude + 4.0
         grid = wigner.PhaseSpaceGrid(-half, half, -8.0, 8.0, 221, 161)
         got = wigner.wigner_numeric(psi.xs, psi.values, grid)
         fine = wigner.wigner_numeric(psi.xs, psi.values, grid, x_step=0.005)
         assert np.max(np.abs(got.values - fine.values)) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:mass deficit")  # 41 p points alias the fringes
+    @pytest.mark.parametrize("name", ["Y1", "odd-cat(3)"])
+    def test_solver_sample_tails_are_integrated(self, name):
+        # solver samples reach 15 past the outer well, beyond the grid's q-extent: |psi| there
+        # is still 1.5e-4 of its peak, and a cut at the q-extent missed it by >= 5.7e-10
+        psi = solver_samples(name)
+        grid = wigner.default_grid(states.preset(name), 61, 41)
+        got = wigner.wigner_numeric(psi.xs, psi.values, grid)
+        ref = per_row_reference(psi.xs, psi.values, grid)
+        assert np.max(np.abs(got.values - ref)) <= 1e-14
 
     def test_non_uniform_samples(self):
         # xs need only increase: 6501 sinh-mapped samples, 3.8x denser at the centre
@@ -312,11 +327,22 @@ class TestNumericTransform:
         with pytest.raises(ValueError, match="domain too small"):
             wigner.wigner_numeric(xs, psi, grid)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"x_step": v} for v in (0.0, -0.02, math.inf, math.nan)]
-        + [{"x_half_width": v} for v in (0.0, -1.0, math.inf, math.nan)],
-    )
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_boundary_rule_is_relative(self, scale):
+        # Y3 on +-10.3 ends at 9.3e-9 of its peak, whatever the scale of psi
+        xs = np.linspace(-10.3, 10.3, 2001)
+        psi = scale * np.asarray(states.position_wavefunction(states.preset("Y3"), xs))
+        grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
+        with pytest.raises(ValueError, match="domain too small"):
+            wigner.wigner_numeric(xs, psi, grid)
+
+    def test_step_is_keyword_only(self):
+        xs, psi = sampled_wavefunction(states.preset("Y3"), n=2001)
+        grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
+        with pytest.raises(TypeError):
+            wigner.wigner_numeric(xs, psi, grid, 0.01)
+
+    @pytest.mark.parametrize("kwargs", [{"x_step": v} for v in (0.0, -0.02, math.inf, math.nan)])
     def test_bad_quadrature_inputs_rejected(self, kwargs):
         xs, psi = sampled_wavefunction(states.preset("Y3"), n=2001)
         grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
@@ -332,13 +358,14 @@ class TestNumericTransform:
             wigner.wigner_numeric(xs, phase * psi, grid)
 
     def test_lost_mass_is_flagged(self):
+        # a q window of +-3 holds about half of Y3's mass
         spec = states.preset("Y3")
         xs, psi = sampled_wavefunction(spec, n=2001)
-        grid = wigner.default_grid(spec, 61, 41)
+        grid = wigner.PhaseSpaceGrid(-3.0, 3.0, -8.0, 8.0, 61, 41)
         with pytest.warns(UserWarning, match="mass deficit"):
-            fld = wigner.wigner_numeric(xs, psi, grid, x_half_width=0.001)
+            fld = wigner.wigner_numeric(xs, psi, grid)
         assert fld.mass_deficit
-        assert fld.mass < 0.01
+        assert fld.mass == pytest.approx(0.489, abs=1e-3)
 
 
 class TestBlockedTransform:
@@ -355,10 +382,6 @@ class TestBlockedTransform:
         grid = wigner.default_grid(spec, nq, 41)
         got = wigner.wigner_numeric(xs, psi, grid)
         assert np.max(np.abs(got.values - per_row_reference(xs, psi, grid))) <= 1e-14
-        # L = 3 is inside every inner block's reach: no trim below the m + 1 columns
-        got = wigner.wigner_numeric(xs, psi, grid, x_half_width=3.0)
-        ref = per_row_reference(xs, psi, grid, half_width=3.0)
-        assert np.max(np.abs(got.values - ref)) <= 1e-14
         # samples cut to zero at their ends keep weight in the x columns at the trim
         # bound, and q rows 11 past the cut leave the outer blocks no column at all
         xs, psi = sampled_wavefunction(spec, margin=1.0, n=2001)
@@ -369,22 +392,20 @@ class TestBlockedTransform:
         assert np.max(np.abs(got.values - per_row_reference(xs, psi, wide))) <= 1e-14
 
     @pytest.mark.filterwarnings("ignore:mass deficit")  # 41 p points alias Y1's fringes
-    @pytest.mark.parametrize("terms, n, window, half_width, a_over_b", [
-        (((3.757, 1.0), (-3.757, 1.0), (7.169, 1.0), (-7.169, 1.0)), 2001, None, None, 13 / 3),
-        ("Y1", 2001, (-2.0, 2.0, 801), None, 0.5),  # dq = x_step / 4: a = 1, b = 2
-        ("Y1", 2001, None, 7.31, 4.0),  # L = 365.5 hx: a last panel of half a step
-        ("Y1", 2601, None, None, 4.5),  # hx = 0.02 would be 2.0 sample spacings
-    ], ids=["jittered", "narrow", "end-node", "resonant"])
-    def test_node_regimes_match_per_row_reference(self, terms, n, window, half_width, a_over_b):
+    @pytest.mark.parametrize("terms, n, window, a_over_b", [
+        (((3.757, 1.0), (-3.757, 1.0), (7.169, 1.0), (-7.169, 1.0)), 2001, None, 13 / 3),
+        ("Y1", 2001, (-2.0, 2.0, 801), 0.5),  # dq = x_step / 4: a = 1, b = 2
+        ("Y1", 2601, None, 4.5),  # hx = 0.02 would be 2.0 sample spacings
+    ], ids=["jittered", "narrow", "resonant"])
+    def test_node_regimes_match_per_row_reference(self, terms, n, window, a_over_b):
         spec = states.preset(terms) if isinstance(terms, str) else states.SuperpositionSpec(terms)
         grid = wigner.default_grid(spec, 601, 41)
         if window is not None:
             grid = wigner.PhaseSpaceGrid(window[0], window[1], -8.0, 8.0, window[2], 41)
         xs, psi = sampled_wavefunction(spec, n=n)
         assert 2 * grid.dq / lattice_step(xs, grid) == pytest.approx(a_over_b)  # 2 dq / hx = a / b
-        got = wigner.wigner_numeric(xs, psi, grid, x_half_width=half_width)
-        ref = per_row_reference(xs, psi, grid, half_width=half_width)
-        assert np.max(np.abs(got.values - ref)) <= 1e-14
+        got = wigner.wigner_numeric(xs, psi, grid)
+        assert np.max(np.abs(got.values - per_row_reference(xs, psi, grid))) <= 1e-14
 
     @pytest.mark.filterwarnings("ignore:mass deficit")  # 2 to 41 p points alias the fringes
     @pytest.mark.parametrize("name", ["Y3", "odd-cat(3)", "skew"])
@@ -436,6 +457,18 @@ class TestIntegrals:
             warnings.simplefilter("ignore")
             doubled = wigner.WignerField(grid=fld.grid, values=2.0 * fld.values)
         assert wigner.integrate(doubled) == pytest.approx(2.0, abs=2e-4)
+
+    def test_mass_is_worked_out_from_values(self):
+        spec = states.preset("Y1")
+        fld = wigner.wigner_closed_form(spec, wigner.default_grid(spec))
+        with pytest.warns(UserWarning, match="mass-deficit"):
+            half = wigner.WignerField(grid=fld.grid, values=0.5 * fld.values)
+            curve = marginals.marginal_from_field(half, "position")
+        assert half.mass == pytest.approx(0.5 * fld.mass, rel=1e-12)
+        assert half.mass_deficit and not fld.mass_deficit
+        assert curve.integral() == pytest.approx(0.5, abs=1e-4)
+        with pytest.raises(TypeError):
+            wigner.WignerField(grid=fld.grid, values=fld.values, mass=1.0)
 
     def test_first_case_explicit_grid(self):
         spec = states.preset("Y1")
