@@ -7,6 +7,7 @@ recovers such states as ground states of multi-Gaussian-well potentials.
 """
 
 from .states import (
+    PRESET_NAMES,
     FockExpansion,
     SuperpositionSpec,
     fock_amplitudes,

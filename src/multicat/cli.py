@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} analysis")
         p.add_argument("--preset", action="append", default=None,
-                       help="named state (Y1, Y2, Y3, vacuum, even-cat(a), odd-cat(a))")
+                       help=f"named state ({', '.join(states.PRESET_NAMES)})")
         p.add_argument("--amps", type=_parse_floats, default=None,
                        help="comma-separated coherent amplitudes")
         p.add_argument("--coeffs", type=_parse_floats, default=None,

@@ -84,14 +84,6 @@ def _parity_factor(n, parity: str):
     return 1.0 + _parity_sign(parity) * np.where(np.asarray(n) % 2 == 0, 1.0, -1.0)
 
 
-def _detect_parity(spec: SuperpositionSpec) -> str:
-    if spec.is_symmetric():
-        return "even"
-    if spec.is_antisymmetric():
-        return "odd"
-    return "none"
-
-
 class _PairSum:
     """Pair sum sum_ik c_i c_k T_ik(n) of the state sum_i c_i (|a_i> + s|-a_i>), and 2/N.
 
@@ -155,7 +147,7 @@ def qts_pnd(spec: SuperpositionSpec, nmax: int) -> PhotonDistribution:
     """
     expansion = fock_amplitudes(spec, nmax)
     probs = expansion.amplitudes**2
-    return PhotonDistribution(probs=probs, parity=_detect_parity(spec))
+    return PhotonDistribution(probs=probs, parity=spec.parity)
 
 
 def qts_pnd_closed_form(alpha: float, beta: float, nmax: int, parity: str = "even") -> np.ndarray:
@@ -192,7 +184,7 @@ def pair_envelope(spec: SuperpositionSpec, n, include_interference: bool = True)
     (half a pair) raises ValueError.
     """
     ns = _photon_numbers(n)
-    parity = _detect_parity(spec)
+    parity = spec.parity
     if parity == "none":
         raise ValueError("pair envelope needs an even or odd spec (terms mirrored under mu -> -mu)")
     mags, coeffs = zip(*((m, c if m else 0.5 * c) for m, c in spec.terms if m >= 0.0))

@@ -57,7 +57,8 @@ class SuperpositionSpec:
     """A finite superposition ``sum_j coeff_j |mu_j>`` of line coherent states.
 
     ``terms`` is a sequence of ``(mu, coeff)`` pairs with real line
-    amplitude ``mu`` and signed real weight ``coeff``.
+    amplitude ``mu`` and signed real weight ``coeff``.  ``parity`` names the
+    state's symmetry under mu -> -mu: ``"even"``, ``"odd"`` or ``"none"``.
     """
 
     terms: Tuple[Tuple[float, float], ...]
@@ -86,21 +87,20 @@ class SuperpositionSpec:
     def max_amplitude(self) -> float:
         return float(np.max(np.abs(self.amplitudes)))
 
-    def is_symmetric(self) -> bool:
-        """True if the term list is invariant under mu -> -mu."""
-        return self._matches_negated(sign=+1.0)
+    @property
+    def parity(self) -> str:
+        """``"even"``, ``"odd"`` or ``"none"``: how mu -> -mu maps the term list.
 
-    def is_antisymmetric(self) -> bool:
-        """True if negating every amplitude flips every coefficient's sign."""
-        return self._matches_negated(sign=-1.0)
-
-    def _matches_negated(self, sign: float) -> bool:
-        want = sorted((-m, sign * c) for m, c in self.terms)
+        Even if it leaves the terms invariant, odd if it flips every
+        coefficient's sign, each within PARITY_TOLERANCE; even is checked first.
+        """
         have = sorted(self.terms)
-        return all(
-            abs(a - b) <= PARITY_TOLERANCE and abs(x - y) <= PARITY_TOLERANCE
-            for (a, x), (b, y) in zip(have, want)
-        )
+        for name, sign in (("even", 1.0), ("odd", -1.0)):
+            want = sorted((-m, sign * c) for m, c in self.terms)
+            if all(abs(a - b) <= PARITY_TOLERANCE and abs(x - y) <= PARITY_TOLERANCE
+                   for (a, x), (b, y) in zip(have, want)):
+                return name
+        return "none"
 
 
 def readonly(values) -> np.ndarray:

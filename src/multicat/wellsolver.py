@@ -17,8 +17,7 @@ solved on one half of the grid in the requested parity sector: the even
 sector keeps the centre row and scales its coupling by sqrt(2), the odd
 sector drops it (psi(0) = 0).  A solution that has not decayed to
 BOUNDARY_DECAY of its peak at both grid ends is refused (ValueError), as in
-``wigner.wigner_numeric``, and so is a well grid whose step exceeds
-MAX_STEP_FRACTION of the narrower of the well and coherent widths.
+``wigner.wigner_numeric``.
 
 ``solve_well`` is the well pipeline for a target superposition: it pins
 the local curvature V0 * gamma / sigma^2 so each well's ground mode has
@@ -26,7 +25,9 @@ roughly the coherent-state position width, trims the inner wells' depth
 until the inner and outer well structures are degenerate (so the ground
 state cannot localize in whichever wells neighbouring tails deepen), and
 scores the ground state's fidelity, solving each well system once.  Odd
-targets are calibrated and solved in the odd sector.
+targets are calibrated and solved in the odd sector.  Before any solve it
+refuses (ValueError) a grid whose step exceeds MAX_STEP_FRACTION of the
+narrower of the well and coherent widths.
 """
 
 from __future__ import annotations
@@ -274,21 +275,6 @@ def default_solver_config(
 MAX_STEP_FRACTION = 0.5
 
 
-def _solve_potential(
-    spec: WellPotentialSpec, cfg: SolverConfig, odd: bool
-) -> DiscretizedWavefunction:
-    """Ground state of ``spec`` on ``cfg``, refused when the grid cannot resolve a well."""
-    xs = cfg.xs()
-    dx = float(xs[1] - xs[0])
-    limit = MAX_STEP_FRACTION * min(spec.sigma / math.sqrt(spec.gamma), 0.5)
-    if dx > limit:
-        raise ValueError(
-            f"grid too coarse: step {dx:.3g} exceeds {limit:.3g}, half the well"
-            f" width at gamma={spec.gamma:g}; raise --points or narrow the domain"
-        )
-    return ground_state(potential(spec, xs), cfg, odd)
-
-
 def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
     """Squared overlap |<target|psi>|^2 with the target evaluated on psi's grid."""
     t = np.asarray(position_wavefunction(target, psi.xs))
@@ -309,63 +295,65 @@ def solve_well(
     """Calibrated wells for a target superposition, their ground state and its fidelity.
 
     Wells sit at the target amplitudes with sigma = 1 and V0 = CURVATURE /
-    gamma.  With more than one |amplitude| the inner wells' depth scale is
+    gamma.  With more than one |amplitude| the inner wells' depth scale s* is
     the ``brentq`` root of the inner/outer subproblem ground-energy
-    difference, polished on the full-problem fidelity.  Each well system is
-    solved once, on ``cfg`` (default: ``default_solver_config(target,
+    difference.  One scan keeps the first best full-problem fidelity: over
+    s = 1 alone when |s* - 1| <= 1e-3 (also for one |amplitude| or no root in
+    SCALE_BRACKET), else over 17 points spanning 8e-3 around s*.  Each well
+    system is solved once, on ``cfg`` (default: ``default_solver_config(target,
     gamma=gamma)``) and in the target's parity sector.  Centres closer than
-    two position widths raise ValueError (wells merge).
+    two position widths (wells merge) and a too coarse grid raise ValueError.
     """
-    if not target.is_symmetric() and not target.is_antisymmetric():
+    parity = target.parity
+    if parity == "none":
         raise ValueError("well calibration expects a symmetric-on-line target")
     centers = tuple(sorted(set(float(m) for m in target.amplitudes)))
-    if len(centers) > 1:
-        min_gap = min(b - a for a, b in zip(centers[:-1], centers[1:]))
-        if min_gap < MIN_GAP:
-            raise ValueError(
-                f"wells merge: minimum centre gap {min_gap:.3g} is below"
-                f" {MIN_GAP:.3g} (two position widths)"
-            )
+    min_gap = min((b - a for a, b in zip(centers, centers[1:])), default=math.inf)
+    if min_gap < MIN_GAP:
+        raise ValueError(
+            f"wells merge: minimum centre gap {min_gap:.3g} is below"
+            f" {MIN_GAP:.3g} (two position widths)"
+        )
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     spec = WellPotentialSpec(centers=centers, v0=CURVATURE / gamma, gamma=gamma, sigma=1.0)
     cfg = cfg or default_solver_config(target, gamma=gamma)
-    odd = target.is_antisymmetric()
-
-    def solved(well: WellPotentialSpec):
-        psi = _solve_potential(well, cfg, odd)
-        return well, psi, fidelity(psi, target)
-
+    xs = cfg.xs()
+    dx = float(xs[1] - xs[0])
+    limit = MAX_STEP_FRACTION * min(spec.sigma / math.sqrt(gamma), 0.5)
+    if dx > limit:
+        raise ValueError(
+            f"grid too coarse: step {dx:.3g} exceeds {limit:.3g}, half the well"
+            f" width at gamma={gamma:g}; raise --points or narrow the domain"
+        )
+    odd = parity == "odd"
     mags = [round(abs(c), 12) for c in centers]
-    inner_mag = min(mags)
-    if len(set(mags)) < 2:
-        return solved(spec)
-    inner = tuple(c for c, m in zip(centers, mags) if m == inner_mag)
-    outer = tuple(c for c, m in zip(centers, mags) if m != inner_mag)
-    e_outer = _solve_potential(replace(spec, centers=outer), cfg, odd).energy
+    inner = tuple(c for c, m in zip(centers, mags) if m == min(mags))
+    outer = tuple(c for c in centers if c not in inner)
 
-    @functools.cache
-    def detuning(s: float) -> float:
-        sub = replace(spec, centers=inner, depth_scales=(s,) * len(inner))
-        return _solve_potential(sub, cfg, odd).energy - e_outer
+    def solved(cs: Tuple[float, ...], s: float):
+        """The wells at ``cs``, the inner ones at depth scale ``s``, and their ground state."""
+        scales = tuple(s if c in inner else 1.0 for c in cs)
+        well = replace(spec, centers=cs, depth_scales=scales)
+        return well, ground_state(potential(well, xs), cfg, odd)
 
-    lo, hi = SCALE_BRACKET
-    if detuning(lo) * detuning(hi) > 0.0:
-        s_star = 1.0
-    else:
-        s_star = brentq(detuning, lo, hi, xtol=1e-14)
+    s_star = 1.0
+    if outer:
+        e_outer = solved(outer, 1.0)[1].energy
 
-    if abs(s_star - 1.0) <= 1e-3:
-        return solved(spec)
+        @functools.cache
+        def detuning(s: float) -> float:
+            return solved(inner, s)[1].energy - e_outer
 
-    # Polish: the subproblem match ignores the inter-group coupling, so scan
-    # s_star's neighbourhood for the best full-problem fidelity (first best wins).
-    best = None
+        lo, hi = SCALE_BRACKET
+        if detuning(lo) * detuning(hi) <= 0.0:
+            s_star = brentq(detuning, lo, hi, xtol=1e-14)
+
+    # The subproblem match ignores the inter-group coupling, so away from
+    # s = 1 scan s*'s neighbourhood for the best full-problem fidelity.
     span, steps = 8.0e-3, 17
-    for k in range(steps):
-        s = s_star - span / 2 + span * k / (steps - 1)
-        scales = tuple(s if m == inner_mag else 1.0 for m in mags)
-        cand = solved(replace(spec, depth_scales=scales))
-        if best is None or cand[2] > best[2]:
-            best = cand
-    return best
+    scan = ([1.0] if abs(s_star - 1.0) <= 1e-3 else
+            [s_star - span / 2 + span * k / (steps - 1) for k in range(steps)])
+    results = (solved(centers, s) for s in scan)
+    return max(((well, psi, fidelity(psi, target)) for well, psi in results),
+               key=lambda result: result[2])

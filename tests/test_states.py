@@ -279,7 +279,7 @@ class TestPresets:
     def test_odd_cat_signs(self):
         spec = states.preset("odd-cat(1.5)")
         assert sorted(spec.terms) == [(-1.5, -1.0), (1.5, 1.0)]
-        assert spec.is_antisymmetric()
+        assert spec.parity == "odd"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -298,6 +298,22 @@ class TestSpecValidation:
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):
             states.SuperpositionSpec(terms=((1.0, 0.0), (2.0, 0.0)))
+
+
+class TestParity:
+    @pytest.mark.parametrize("terms,parity", [
+        (((2.0, 1.0), (-2.0, 1.0)), "even"),
+        (((2.0, 1.0), (-2.0, -1.0)), "odd"),
+        (((-2.0, -1.0), (2.0, 1.0 + 1e-13)), "odd"),
+        (((2.0, 1.0), (-2.0, 0.5)), "none"),
+        (((1.0, 1.0), (3.0, 1.0)), "none"),
+        (((0.0, 1.0),), "even"),
+        # coefficients within PARITY_TOLERANCE of zero fit both; even is checked first
+        (((1.0, 1e-13), (-1.0, 1e-13)), "even"),
+        (((2.0, 1.0), (-2.0, -1.0), (0.0, 1.0)), "none"),
+    ])
+    def test_parity_of_the_term_list(self, terms, parity):
+        assert states.SuperpositionSpec(terms=terms).parity == parity
 
 
 class TestImmutableResults:

@@ -280,13 +280,24 @@ class TestCalibration:
         assert scales[1.0] == scales[-1.0] < 0.95
 
 
+def three_groups(sign):
+    """{+-1, +-4, +-7} with unit coefficients, times ``sign`` at negative amplitudes."""
+    return states.SuperpositionSpec(terms=tuple((m, c) for a in (1.0, 4.0, 7.0)
+                                                for m, c in ((a, 1.0), (-a, sign))))
+
+
+THREE_GROUPS = {"even-1-4-7": three_groups(1.0), "odd-1-4-7": three_groups(-1.0)}
+
+
 class TestSolveOnce:
     @pytest.mark.parametrize("name,solves", [
-        ("Y1", 21), ("Y2", 32), ("Y3", 33), ("odd-cat(2)", 1),
+        ("Y1", 21), ("Y2", 32), ("Y3", 33), ("odd-cat(2)", 1), ("even-1-4-7", 32),
+        ("odd-1-4-7", 34),
     ])
     def test_each_well_system_solved_once(self, name, solves, monkeypatch):
         # Y1 and odd-cat(2) skip the polish; the bracket ends are solved once,
         # and the polished well system is not solved again
+        target = THREE_GROUPS[name] if name in THREE_GROUPS else states.preset(name)
         calls = []
         real = ws.ground_state
 
@@ -295,8 +306,20 @@ class TestSolveOnce:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ws, "ground_state", counted)
-        ws.solve_well(states.preset(name))
+        ws.solve_well(target)
         assert len(calls) == solves
+
+    @pytest.mark.parametrize("name,inner_scale,fid", [
+        ("even-1-4-7", 0.842010838657534, 0.9507517496611948),
+        ("odd-1-4-7", 1.0646872812962385, 0.8679481578305841),
+    ])
+    def test_three_groups_rescale_only_the_inner_pair(self, name, inner_scale, fid):
+        # frozen: computed at gamma 2 on the default grid
+        spec, _, got = ws.solve_well(THREE_GROUPS[name])
+        scales = dict(zip(spec.centers, spec.scales))
+        assert all(scales[c] == 1.0 for c in (-7.0, -4.0, 4.0, 7.0))
+        assert scales[1.0] == scales[-1.0] == pytest.approx(inner_scale, abs=1e-12)
+        assert got == pytest.approx(fid, abs=1e-12)
 
     @pytest.mark.parametrize("target", [
         states.preset("Y1"),
@@ -306,7 +329,7 @@ class TestSolveOnce:
     def test_returned_state_is_the_ground_state_of_the_returned_wells(self, target):
         cfg = ws.default_solver_config(target)
         spec, psi, fid = ws.solve_well(target, cfg=cfg)
-        again = ws.ground_state(ws.potential(spec, cfg.xs()), cfg, target.is_antisymmetric())
+        again = ws.ground_state(ws.potential(spec, cfg.xs()), cfg, target.parity == "odd")
         assert np.array_equal(psi.values, again.values)
         assert psi.energy == again.energy
         assert fid == ws.fidelity(again, target)
