@@ -11,8 +11,8 @@ the three-point stencil (hbar = m = 1, Dirichlet ends)
     H[i, i]   = 1/dx^2 + V_i,
     H[i, i+1] = H[i+1, i] = -1/(2 dx^2),
 
-and solved for its lowest eigenpair by LAPACK (``dstebz``/``dstein``
-through ``scipy.linalg.eigh_tridiagonal``).  A reflection-symmetric H is
+and solved for its lowest eigenpair by LAPACK's ``dstebz`` and ``dstein``
+(from ``scipy.linalg.get_lapack_funcs``).  A reflection-symmetric H is
 solved on one half of the grid in the requested parity sector: the even
 sector keeps the centre row and scales its coupling by sqrt(2), the odd
 sector drops it (psi(0) = 0).  A solution that has not decayed to
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.optimize import brentq
 
 from .states import BOUNDARY_DECAY, SuperpositionSpec, position_wavefunction, readonly
@@ -61,8 +61,11 @@ __all__ = [
 #: Measured target fidelities across the built-in cases peak near this value.
 CURVATURE = 6.0
 
-#: Inner-wells depth-scale bracket of ``solve_well``; brentq reuses its ends' solves.
+#: ``solve_well``'s brentq bracket for s* when the probes do not pin it; reuses its ends' solves.
 SCALE_BRACKET = (0.5, 1.5)
+
+#: ``solve_well`` pins the inner depth scale s* to 1 when it lies within this of 1.
+PIN_TOLERANCE = 1e-3
 
 #: Minimum allowed centre separation, two coherent-state position widths.
 MIN_GAP = 1.0
@@ -184,8 +187,8 @@ def ground_state(
     over the solved half.  An asymmetric V is solved on the full grid and
     has no odd sector (ValueError).  A solution that has not decayed to
     BOUNDARY_DECAY of its peak at either grid end raises ValueError: the
-    domain cuts the state off.  The result records one iteration (one LAPACK
-    call) and its full-grid residual.
+    domain cuts the state off; so do non-finite samples, and a LAPACK failure
+    raises LinAlgError.  The result records one iteration and its residual.
     """
     xs = cfg.xs()
     v_samples = np.asarray(v_samples, dtype=float)
@@ -198,17 +201,23 @@ def ground_state(
     dx = float(xs[1] - xs[0])
     inv = 1.0 / (dx * dx)
     diag, off = inv + v_samples, -0.5 * inv
+    if not np.isfinite(diag).all():
+        raise ValueError("potential samples and grid step must be finite")
     scale = max(1.0, float(np.max(np.abs(diag))))
     symmetric = bool(np.all(np.abs(diag - diag[::-1]) <= 1e-9 * scale))
     if odd and not symmetric:
         raise ValueError("the odd sector needs a reflection-symmetric potential")
 
     start = n // 2 + int(odd) if symmetric else 0
-    e = np.full(n - 1 - start, off)
+    d, e = diag[start:], np.full(n - 1 - start, off)
     if symmetric and not odd:
         e[0] *= math.sqrt(2.0)
-    energies, vectors = eigh_tridiagonal(diag[start:], e, select="i", select_range=(0, 0))
-    energy, u = float(energies[0]), vectors[:, 0]
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")  # range I, il = iu = 1
+    u, info = stein(d, e, w[:m], iblock, isplit) if info == 0 else (None, info)
+    if info:
+        raise LinAlgError(f"LAPACK stebz/stein failed (info={info})")
+    energy, u = float(w[0]), u[:, 0]
     if float(np.sum(u)) < 0.0:
         u = -u
     if symmetric and odd:
@@ -275,16 +284,20 @@ def default_solver_config(
 MAX_STEP_FRACTION = 0.5
 
 
-def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
-    """Squared overlap |<target|psi>|^2 with the target evaluated on psi's grid."""
-    t = np.asarray(position_wavefunction(target, psi.xs))
-    dx = psi.dx
+def _fidelity_on(target: SuperpositionSpec, xs: np.ndarray):
+    """``fidelity`` for states on ``xs``, with the target evaluated there once."""
+    dx, t = float(xs[1] - xs[0]), np.asarray(position_wavefunction(target, xs))
     t_norm = math.sqrt(float(t @ t) * dx)
     if t_norm == 0.0:
         raise ValueError("target state vanishes on the solver grid")
     t /= t_norm
-    v = psi.values / math.sqrt(float(psi.values @ psi.values) * dx)
-    return float((v @ t) * dx) ** 2
+    return lambda psi: float(
+        (psi.values / math.sqrt(float(psi.values @ psi.values) * dx) @ t) * dx) ** 2
+
+
+def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:
+    """Squared overlap |<target|psi>|^2 with the target evaluated on psi's grid."""
+    return _fidelity_on(target, psi.xs)(psi)
 
 
 def solve_well(
@@ -296,13 +309,15 @@ def solve_well(
 
     Wells sit at the target amplitudes with sigma = 1 and V0 = CURVATURE /
     gamma.  With more than one |amplitude| the inner wells' depth scale s* is
-    the ``brentq`` root of the inner/outer subproblem ground-energy
-    difference.  One scan keeps the first best full-problem fidelity: over
-    s = 1 alone when |s* - 1| <= 1e-3 (also for one |amplitude| or no root in
-    SCALE_BRACKET), else over 17 points spanning 8e-3 around s*.  Each well
-    system is solved once, on ``cfg`` (default: ``default_solver_config(target,
-    gamma=gamma)``) and in the target's parity sector.  Centres closer than
-    two position widths (wells merge) and a too coarse grid raise ValueError.
+    the root of the inner/outer subproblem ground-energy difference, which
+    falls with s: 1 if it changes sign over 1 -+ PIN_TOLERANCE, else the
+    ``brentq`` root in SCALE_BRACKET.  One scan keeps the first best
+    full-problem fidelity: over s = 1 alone when |s* - 1| <= PIN_TOLERANCE
+    (also for one |amplitude| or no root), else over 17 points spanning 8e-3
+    around s*.  Each well system is solved once, on ``cfg`` (default:
+    ``default_solver_config(target, gamma=gamma)``), in the target's parity
+    sector.  Centres closer than two position widths and a too coarse grid
+    raise ValueError.
     """
     parity = target.parity
     if parity == "none":
@@ -340,20 +355,17 @@ def solve_well(
     s_star = 1.0
     if outer:
         e_outer = solved(outer, 1.0)[1].energy
-
-        @functools.cache
-        def detuning(s: float) -> float:
-            return solved(inner, s)[1].energy - e_outer
-
-        lo, hi = SCALE_BRACKET
-        if detuning(lo) * detuning(hi) <= 0.0:
-            s_star = brentq(detuning, lo, hi, xtol=1e-14)
+        detuning = functools.cache(lambda s: solved(inner, s)[1].energy - e_outer)
+        pinned = detuning(1.0 - PIN_TOLERANCE) * detuning(1.0 + PIN_TOLERANCE) <= 0.0
+        if not pinned and detuning(SCALE_BRACKET[0]) * detuning(SCALE_BRACKET[1]) <= 0.0:
+            s_star = brentq(detuning, *SCALE_BRACKET, xtol=1e-14)
 
     # The subproblem match ignores the inter-group coupling, so away from
     # s = 1 scan s*'s neighbourhood for the best full-problem fidelity.
     span, steps = 8.0e-3, 17
-    scan = ([1.0] if abs(s_star - 1.0) <= 1e-3 else
+    scan = ([1.0] if abs(s_star - 1.0) <= PIN_TOLERANCE else
             [s_star - span / 2 + span * k / (steps - 1) for k in range(steps)])
+    score = _fidelity_on(target, xs)
     results = (solved(centers, s) for s in scan)
-    return max(((well, psi, fidelity(psi, target)) for well, psi in results),
+    return max(((well, psi, score(psi)) for well, psi in results),
                key=lambda result: result[2])

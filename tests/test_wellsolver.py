@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.optimize import brentq
 
 from multicat import states, wellsolver as ws
 
@@ -165,6 +167,29 @@ class TestGroundState:
         with pytest.raises(ValueError, match="domain too small"):
             ws.ground_state(v, cfg, odd=odd)
 
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, odd, bad):
+        # one non-finite sample or its symmetric pair: refused before LAPACK
+        cfg, xs, v = harmonic_problem(points=301)
+        for idx in ([7], [7, -8]):
+            w = v.copy()
+            w[idx] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ws.ground_state(w, cfg, odd=odd)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        real = ws.get_lapack_funcs
+
+        def failing(names, arrays):
+            stebz, stein = real(names, arrays)
+            return stebz, lambda *args: (stein(*args)[0], 1)
+
+        monkeypatch.setattr(ws, "get_lapack_funcs", failing)
+        cfg, xs, v = harmonic_problem(points=301)
+        with pytest.raises(LinAlgError, match="info=1"):
+            ws.ground_state(v, cfg)
+
     def test_even_point_count_rejected(self):
         with pytest.raises(ValueError):
             ws.SolverConfig(domain=(-5.0, 5.0), points=400)
@@ -291,12 +316,14 @@ THREE_GROUPS = {"even-1-4-7": three_groups(1.0), "odd-1-4-7": three_groups(-1.0)
 
 class TestSolveOnce:
     @pytest.mark.parametrize("name,solves", [
-        ("Y1", 21), ("Y2", 32), ("Y3", 33), ("odd-cat(2)", 1), ("even-1-4-7", 32),
-        ("odd-1-4-7", 34),
+        ("Y1", 4), ("Y2", 34), ("Y3", 35), ("odd-cat(2)", 1), ("even-1-4-7", 34),
+        ("odd-1-4-7", 36),
     ])
     def test_each_well_system_solved_once(self, name, solves, monkeypatch):
-        # Y1 and odd-cat(2) skip the polish; the bracket ends are solved once,
-        # and the polished well system is not solved again
+        # odd-cat(2) has one group: one solve.  Y1's two probes at 1 -+ 1e-3
+        # pin s* = 1, so it solves the outer wells, the probes and s = 1.  The
+        # others add the bracket ends, brentq and the 17-point scan; the probes
+        # and bracket ends are solved once, the scanned systems are not solved again
         target = THREE_GROUPS[name] if name in THREE_GROUPS else states.preset(name)
         calls = []
         real = ws.ground_state
@@ -333,6 +360,40 @@ class TestSolveOnce:
         assert np.array_equal(psi.values, again.values)
         assert psi.energy == again.energy
         assert fid == ws.fidelity(again, target)
+
+    @pytest.mark.parametrize("target,pinned", [
+        (states.preset("Y1"), True),
+        (states.SuperpositionSpec(terms=((4.1, 1.0), (-4.1, 1.0), (6.9, 1.0), (-6.9, 1.0))), True),
+        (states.preset("Y3"), False),
+        (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (2.0, 3.0, 4.0) for m in (a, -a))),
+         True),
+    ], ids=["Y1", "Y1-4.1-6.9", "Y3", "no-root-2-3-4"])
+    def test_probes_give_the_brentq_rule(self, target, pinned):
+        # the rule without probes: brentq's root over SCALE_BRACKET, then s = 1
+        # alone when |s* - 1| <= 1e-3, else the 17-point scan around s*
+        cfg = ws.default_solver_config(target)
+        xs, odd = cfg.xs(), target.parity == "odd"
+        centers = tuple(sorted({float(m) for m in target.amplitudes}))
+        inner = tuple(c for c in centers if abs(c) == min(map(abs, centers)))
+
+        def solved(cs, s):
+            well = ws.WellPotentialSpec(centers=cs, v0=ws.CURVATURE / 2.0, gamma=2.0,
+                                        depth_scales=tuple(s if c in inner else 1.0 for c in cs))
+            return well, ws.ground_state(ws.potential(well, xs), cfg, odd)
+
+        e_outer = solved(tuple(c for c in centers if c not in inner), 1.0)[1].energy
+        detuning = lambda s: solved(inner, s)[1].energy - e_outer  # noqa: E731
+        lo, hi = ws.SCALE_BRACKET
+        s_star = brentq(detuning, lo, hi, xtol=1e-14) if detuning(lo) * detuning(hi) <= 0.0 else 1.0
+        assert (abs(s_star - 1.0) <= 1e-3) is pinned
+        scan = [1.0] if pinned else [s_star - 8.0e-3 / 2 + 8.0e-3 * k / 16 for k in range(17)]
+        want = max(((well, psi, ws.fidelity(psi, target)) for well, psi in
+                    (solved(centers, s) for s in scan)), key=lambda r: r[2])
+        got = ws.solve_well(target)
+        assert got[0] == want[0] and got[2] == want[2]
+        for name in ("xs", "values"):
+            assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes()
+        assert (got[1].energy, got[1].residual) == (want[1].energy, want[1].residual)
 
     def test_check_order(self):
         # symmetric target, then wells merge, then gamma
