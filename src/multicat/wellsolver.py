@@ -24,10 +24,10 @@ the local curvature V0 * gamma / sigma^2 so each well's ground mode has
 roughly the coherent-state position width, trims the inner wells' depth
 until the inner and outer well structures are degenerate (so the ground
 state cannot localize in whichever wells neighbouring tails deepen), and
-scores the ground state's fidelity, solving each well system once.  Odd
-targets are calibrated and solved in the odd sector.  Before any solve it
-refuses (ValueError) a grid whose step exceeds MAX_STEP_FRACTION of the
-narrower of the well and coherent widths.
+climbs a 17-point depth scan from there to the best fidelity, solving each
+well system once (Y2: 20 solves, 3 in the scan).  Odd targets are solved
+in the odd sector.  Before any solve it refuses (ValueError) a grid whose
+step exceeds MAX_STEP_FRACTION of the narrower of the well and coherent widths.
 """
 
 from __future__ import annotations
@@ -157,17 +157,21 @@ class DiscretizedWavefunction:
         return self.xs[1:-1][inner]
 
 
-def potential(spec: WellPotentialSpec, x) -> np.ndarray | float:
-    """Evaluate the multi-well potential at scalar or array positions."""
-    xa = np.asarray(x, dtype=float)
+def _well_sum(spec: WellPotentialSpec, xa: np.ndarray, shapes: dict) -> np.ndarray:
+    """``potential`` on ``xa``, reusing the exp(-k (x - c)^2) that ``shapes`` holds for xa and k."""
     k = spec.gamma / (2.0 * spec.sigma**2)
     out = np.zeros_like(xa)
     for c, s in zip(spec.centers, spec.scales):
-        out = out - s * spec.v0 * np.exp(-k * (xa - c) ** 2)
-    out = out + spec.v0
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(out)
-    return out
+        if c not in shapes:
+            shapes[c] = np.exp(-k * (xa - c) ** 2)
+        out = out - s * spec.v0 * shapes[c]
+    return out + spec.v0
+
+
+def potential(spec: WellPotentialSpec, x) -> np.ndarray | float:
+    """Evaluate the multi-well potential at scalar or array positions."""
+    out = _well_sum(spec, np.asarray(x, dtype=float), {})
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def ground_state(
@@ -311,13 +315,14 @@ def solve_well(
     gamma.  With more than one |amplitude| the inner wells' depth scale s* is
     the root of the inner/outer subproblem ground-energy difference, which
     falls with s: 1 if it changes sign over 1 -+ PIN_TOLERANCE, else the
-    ``brentq`` root in SCALE_BRACKET.  One scan keeps the first best
-    full-problem fidelity: over s = 1 alone when |s* - 1| <= PIN_TOLERANCE
-    (also for one |amplitude| or no root), else over 17 points spanning 8e-3
-    around s*.  Each well system is solved once, on ``cfg`` (default:
-    ``default_solver_config(target, gamma=gamma)``), in the target's parity
-    sector.  Centres closer than two position widths and a too coarse grid
-    raise ValueError.
+    ``brentq`` root in SCALE_BRACKET.  The full problem is solved at s = 1
+    alone when |s* - 1| <= PIN_TOLERANCE (also for one |amplitude| or no root),
+    else by a climb from s* over 17 points spanning 8e-3 that steps left while
+    the fidelity does not fall, then right while it rises, to the first best
+    point of a one-peak scan (Y2: 20 solves, 3 of the 17).  Each well system is
+    solved once, on ``cfg`` (default: ``default_solver_config(target, gamma=gamma)``),
+    in the target's parity sector.  Centres closer than two position widths and
+    a too coarse grid raise ValueError.
     """
     parity = target.parity
     if parity == "none":
@@ -345,12 +350,13 @@ def solve_well(
     mags = [round(abs(c), 12) for c in centers]
     inner = tuple(c for c, m in zip(centers, mags) if m == min(mags))
     outer = tuple(c for c in centers if c not in inner)
+    shapes: dict = {}
 
     def solved(cs: Tuple[float, ...], s: float):
         """The wells at ``cs``, the inner ones at depth scale ``s``, and their ground state."""
         scales = tuple(s if c in inner else 1.0 for c in cs)
         well = replace(spec, centers=cs, depth_scales=scales)
-        return well, ground_state(potential(well, xs), cfg, odd)
+        return well, ground_state(_well_sum(well, xs, shapes), cfg, odd)
 
     s_star = 1.0
     if outer:
@@ -360,12 +366,16 @@ def solve_well(
         if not pinned and detuning(SCALE_BRACKET[0]) * detuning(SCALE_BRACKET[1]) <= 0.0:
             s_star = brentq(detuning, *SCALE_BRACKET, xtol=1e-14)
 
-    # The subproblem match ignores the inter-group coupling, so away from
-    # s = 1 scan s*'s neighbourhood for the best full-problem fidelity.
+    # The subproblem match ignores the inter-group coupling: climb to the best fidelity.
     span, steps = 8.0e-3, 17
     scan = ([1.0] if abs(s_star - 1.0) <= PIN_TOLERANCE else
             [s_star - span / 2 + span * k / (steps - 1) for k in range(steps)])
     score = _fidelity_on(target, xs)
-    results = (solved(centers, s) for s in scan)
-    return max(((well, psi, score(psi)) for well, psi in results),
-               key=lambda result: result[2])
+    at = functools.cache(lambda i: solved(centers, scan[i]))
+    fid = functools.cache(lambda i: score(at(i)[1]))
+    i = len(scan) // 2
+    while i > 0 and fid(i) <= fid(i - 1):
+        i -= 1
+    while i + 1 < len(scan) and fid(i + 1) > fid(i):
+        i += 1
+    return (*at(i), fid(i))

@@ -316,14 +316,16 @@ THREE_GROUPS = {"even-1-4-7": three_groups(1.0), "odd-1-4-7": three_groups(-1.0)
 
 class TestSolveOnce:
     @pytest.mark.parametrize("name,solves", [
-        ("Y1", 4), ("Y2", 34), ("Y3", 35), ("odd-cat(2)", 1), ("even-1-4-7", 34),
-        ("odd-1-4-7", 36),
+        ("Y1", 4), ("Y2", 20), ("Y3", 21), ("odd-cat(2)", 1), ("even-1-4-7", 26),
+        ("odd-1-4-7", 28),
     ])
     def test_each_well_system_solved_once(self, name, solves, monkeypatch):
         # odd-cat(2) has one group: one solve.  Y1's two probes at 1 -+ 1e-3
         # pin s* = 1, so it solves the outer wells, the probes and s = 1.  The
-        # others add the bracket ends, brentq and the 17-point scan; the probes
-        # and bracket ends are solved once, the scanned systems are not solved again
+        # others add the bracket ends and brentq, then climb the 17-point scan:
+        # they solve its centre s*, its two neighbours and each point the climb
+        # walks through (Y2 and Y3 stop at s*, the three-group targets walk to
+        # the low end); no system, probe or bracket end is solved twice
         target = THREE_GROUPS[name] if name in THREE_GROUPS else states.preset(name)
         calls = []
         real = ws.ground_state
@@ -367,7 +369,12 @@ class TestSolveOnce:
         (states.preset("Y3"), False),
         (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (2.0, 3.0, 4.0) for m in (a, -a))),
          True),
-    ], ids=["Y1", "Y1-4.1-6.9", "Y3", "no-root-2-3-4"])
+        (states.SuperpositionSpec(terms=((1.0, 1.0), (-1.0, -1.0), (4.0, 1.0), (-4.0, -1.0))),
+         False),
+        (THREE_GROUPS["even-1-4-7"], False),
+        (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (1.13189, 5.87753)
+                                              for m in (a, -a))), False),
+    ], ids=["Y1", "Y1-4.1-6.9", "Y3", "no-root-2-3-4", "odd-1-4", "even-1-4-7", "Y2-1.13-5.88"])
     def test_probes_give_the_brentq_rule(self, target, pinned):
         # the rule without probes: brentq's root over SCALE_BRACKET, then s = 1
         # alone when |s* - 1| <= 1e-3, else the 17-point scan around s*
@@ -394,6 +401,44 @@ class TestSolveOnce:
         for name in ("xs", "values"):
             assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes()
         assert (got[1].energy, got[1].residual) == (want[1].energy, want[1].residual)
+
+    @pytest.mark.parametrize("fids,best,solved", [
+        ([-abs(k - 11) for k in range(17)], 11, {7, 8, 9, 10, 11, 12}),
+        ([-abs(k - 5) for k in range(17)], 5, {4, 5, 6, 7, 8}),
+        ([-k for k in range(17)], 0, set(range(9))),
+        ([k for k in range(17)], 16, {7} | set(range(8, 17))),
+        ([-abs(k - 7.5) for k in range(17)], 7, {6, 7, 8}),
+        ([-abs(k - 8.5) for k in range(17)], 8, {7, 8, 9}),
+    ], ids=["interior-right", "interior-left", "low-end", "high-end", "tie-left", "tie-right"])
+    def test_climb_on_scripted_fidelities(self, fids, best, solved, monkeypatch):
+        # Y2's s* is not pinned, so the 17-point scan runs.  Each full-system
+        # solve is tagged with its scan index (the centre s* is solved first)
+        # and scored fids[index]; ties resolve to the lower index
+        pending, scales, index = [], [], {}
+        step = 8.0e-3 / 16
+        real_sum, real_solve = ws._well_sum, ws.ground_state
+
+        def well_sum(well, xa, shapes):
+            full = len(well.centers) == 4
+            pending.append(dict(zip(well.centers, well.scales))[1.0] if full else None)
+            return real_sum(well, xa, shapes)
+
+        def solve(*args, **kwargs):
+            psi, scale = real_solve(*args, **kwargs), pending.pop()
+            if scale is not None:
+                scales.append(scale)
+                index[id(psi)] = 8 + round((scale - scales[0]) / step)
+            return psi
+
+        monkeypatch.setattr(ws, "_well_sum", well_sum)
+        monkeypatch.setattr(ws, "ground_state", solve)
+        monkeypatch.setattr(ws, "_fidelity_on", lambda target, xs: lambda psi: fids[index[id(psi)]])
+        well, psi, fid = ws.solve_well(states.preset("Y2"))
+        indices = [8 + round((scale - scales[0]) / step) for scale in scales]
+        assert len(indices) == len(set(indices)) and set(indices) == solved
+        assert index[id(psi)] == best and fid == fids[best]
+        assert dict(zip(well.centers, well.scales))[1.0] == pytest.approx(
+            scales[0] + (best - 8) * step, abs=1e-15)
 
     def test_check_order(self):
         # symmetric target, then wells merge, then gamma
