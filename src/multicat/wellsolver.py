@@ -25,7 +25,7 @@ roughly the coherent-state position width, trims the inner wells' depth
 until the inner and outer well structures are degenerate (so the ground
 state cannot localize in whichever wells neighbouring tails deepen), and
 climbs a 17-point depth scan from there to the best fidelity, solving each
-well system once (Y2: 20 solves, 3 in the scan).  Odd targets are solved
+well system once (Y2: 11 solves, 3 in the scan).  Odd targets are solved
 in the odd sector.  Before any solve it refuses (ValueError) a grid whose
 step exceeds MAX_STEP_FRACTION of the narrower of the well and coherent widths.
 """
@@ -61,11 +61,8 @@ __all__ = [
 #: Measured target fidelities across the built-in cases peak near this value.
 CURVATURE = 6.0
 
-#: ``solve_well``'s brentq bracket for s* when the probes do not pin it; reuses its ends' solves.
+#: ``solve_well``'s brentq bracket for the inner depth scale s*; reuses its ends' solves.
 SCALE_BRACKET = (0.5, 1.5)
-
-#: ``solve_well`` pins the inner depth scale s* to 1 when it lies within this of 1.
-PIN_TOLERANCE = 1e-3
 
 #: Minimum allowed centre separation, two coherent-state position widths.
 MIN_GAP = 1.0
@@ -313,16 +310,17 @@ def solve_well(
 
     Wells sit at the target amplitudes with sigma = 1 and V0 = CURVATURE /
     gamma.  With more than one |amplitude| the inner wells' depth scale s* is
-    the root of the inner/outer subproblem ground-energy difference, which
-    falls with s: 1 if it changes sign over 1 -+ PIN_TOLERANCE, else the
-    ``brentq`` root in SCALE_BRACKET.  The full problem is solved at s = 1
-    alone when |s* - 1| <= PIN_TOLERANCE (also for one |amplitude| or no root),
-    else by a climb from s* over 17 points spanning 8e-3 that steps left while
-    the fidelity does not fall, then right while it rises, to the first best
-    point of a one-peak scan (Y2: 20 solves, 3 of the 17).  Each well system is
-    solved once, on ``cfg`` (default: ``default_solver_config(target, gamma=gamma)``),
-    in the target's parity sector.  Centres closer than two position widths and
-    a too coarse grid raise ValueError.
+    the ``brentq`` root (xtol 1e-11, the energies' noise floor) in SCALE_BRACKET
+    of the inner/outer subproblem ground-energy difference, which falls with s.
+    The full problem is then polished by a climb from s* over 17 points
+    spanning 8e-3 that steps left while the fidelity does not fall, then right
+    while it rises, to the first best point of a one-peak scan (Y1 and Y2: 11
+    solves, 3 of the 17; Y3: 12).  With one |amplitude|, or no root in the
+    bracket, it is solved at s = 1 alone (odd-cat(3): 1 solve).  Each well
+    system is solved once, on ``cfg`` (default:
+    ``default_solver_config(target, gamma=gamma)``), in the target's parity
+    sector.  Centres closer than two position widths and a too coarse grid
+    raise ValueError.
     """
     parity = target.parity
     if parity == "none":
@@ -358,18 +356,14 @@ def solve_well(
         well = replace(spec, centers=cs, depth_scales=scales)
         return well, ground_state(_well_sum(well, xs, shapes), cfg, odd)
 
-    s_star = 1.0
+    scan = [1.0]  # one group or no root, so s = 1
     if outer:
         e_outer = solved(outer, 1.0)[1].energy
         detuning = functools.cache(lambda s: solved(inner, s)[1].energy - e_outer)
-        pinned = detuning(1.0 - PIN_TOLERANCE) * detuning(1.0 + PIN_TOLERANCE) <= 0.0
-        if not pinned and detuning(SCALE_BRACKET[0]) * detuning(SCALE_BRACKET[1]) <= 0.0:
-            s_star = brentq(detuning, *SCALE_BRACKET, xtol=1e-14)
-
-    # The subproblem match ignores the inter-group coupling: climb to the best fidelity.
-    span, steps = 8.0e-3, 17
-    scan = ([1.0] if abs(s_star - 1.0) <= PIN_TOLERANCE else
-            [s_star - span / 2 + span * k / (steps - 1) for k in range(steps)])
+        if detuning(SCALE_BRACKET[0]) * detuning(SCALE_BRACKET[1]) <= 0.0:
+            # The subproblem match ignores the inter-group coupling: climb to the best fidelity.
+            s_star, span, steps = brentq(detuning, *SCALE_BRACKET, xtol=1e-11), 8.0e-3, 17
+            scan = [s_star - span / 2 + span * k / (steps - 1) for k in range(steps)]
     score = _fidelity_on(target, xs)
     at = functools.cache(lambda i: solved(centers, scan[i]))
     fid = functools.cache(lambda i: score(at(i)[1]))

