@@ -330,6 +330,10 @@ def run(cfg: RunConfig) -> List[Path]:
             fh.write(f"prange={_fmt(cfg.prange[0])}:{_fmt(cfg.prange[1])}:{cfg.prange[2]}\n")
         if cfg.nmax is not None:
             fh.write(f"nmax={cfg.nmax}\n")
+        if cfg.command in ("well", "all"):
+            fh.write(f"gamma={_fmt(cfg.gamma)}\npoints={cfg.points}\n")
+            if cfg.domain:
+                fh.write(f"domain={_fmt(cfg.domain[0])}:{_fmt(cfg.domain[1])}\n")
         fh.write(f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
         for path, _ in outputs:
             fh.write(f"output={path.name}\n")

@@ -24,8 +24,8 @@ the local curvature V0 * gamma / sigma^2 so each well's ground mode has
 roughly the coherent-state position width, trims the inner wells' depth
 until the inner and outer well structures are degenerate (so the ground
 state cannot localize in whichever wells neighbouring tails deepen), and
-climbs a 17-point depth scan from there to the best fidelity, solving each
-well system once (Y2: 11 solves, 3 in the scan).  Odd targets are solved
+polishes that depth by a Brent search on the fidelity, solving each well
+system once (Y2: 11 solves, 3 in the polish).  Odd targets are solved
 in the odd sector.  Before any solve it refuses (ValueError) a grid whose
 step exceeds MAX_STEP_FRACTION of the narrower of the well and coherent widths.
 """
@@ -39,7 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .states import BOUNDARY_DECAY, SuperpositionSpec, position_wavefunction, readonly
 
@@ -61,8 +61,12 @@ __all__ = [
 #: Measured target fidelities across the built-in cases peak near this value.
 CURVATURE = 6.0
 
-#: ``solve_well``'s brentq bracket for the inner depth scale s*; reuses its ends' solves.
+#: ``solve_well``'s inner depth scales: brentq's bracket for s*, and 0 fidelity outside.
 SCALE_BRACKET = (0.5, 1.5)
+
+#: First step of ``solve_well``'s Brent polish below s*, and its tolerance
+#: times s*; a wider step misses the narrow peaks of groups that barely tunnel.
+POLISH_STEP = 1.25e-4
 
 #: Minimum allowed centre separation, two coherent-state position widths.
 MIN_GAP = 1.0
@@ -104,9 +108,7 @@ class WellPotentialSpec:
 
     @property
     def scales(self) -> Tuple[float, ...]:
-        if self.depth_scales is None:
-            return tuple(1.0 for _ in self.centers)
-        return self.depth_scales
+        return self.depth_scales or tuple(1.0 for _ in self.centers)
 
 
 @dataclass(frozen=True)
@@ -312,10 +314,10 @@ def solve_well(
     gamma.  With more than one |amplitude| the inner wells' depth scale s* is
     the ``brentq`` root (xtol 1e-11, the energies' noise floor) in SCALE_BRACKET
     of the inner/outer subproblem ground-energy difference, which falls with s.
-    The full problem is then polished by a climb from s* over 17 points
-    spanning 8e-3 that steps left while the fidelity does not fall, then right
-    while it rises, to the first best point of a one-peak scan (Y1 and Y2: 11
-    solves, 3 of the 17; Y3: 12).  With one |amplitude|, or no root in the
+    The full problem's fidelity is then maximised over s by SciPy's Brent
+    search (``minimize_scalar``), bracketed from s* - POLISH_STEP and s* and
+    stopped within about POLISH_STEP (Y1 and Y2: 11 solves, 3 in the polish;
+    Y3: 12; {+-1, +-4, +-7}: 18).  With one |amplitude|, or no root in the
     bracket, it is solved at s = 1 alone (odd-cat(3): 1 solve).  Each well
     system is solved once, on ``cfg`` (default:
     ``default_solver_config(target, gamma=gamma)``), in the target's parity
@@ -356,20 +358,17 @@ def solve_well(
         well = replace(spec, centers=cs, depth_scales=scales)
         return well, ground_state(_well_sum(well, xs, shapes), cfg, odd)
 
-    scan = [1.0]  # one group or no root, so s = 1
+    lo, hi = SCALE_BRACKET
+    s_star = None  # one group or no root, so s = 1
     if outer:
         e_outer = solved(outer, 1.0)[1].energy
         detuning = functools.cache(lambda s: solved(inner, s)[1].energy - e_outer)
-        if detuning(SCALE_BRACKET[0]) * detuning(SCALE_BRACKET[1]) <= 0.0:
-            # The subproblem match ignores the inter-group coupling: climb to the best fidelity.
-            s_star, span, steps = brentq(detuning, *SCALE_BRACKET, xtol=1e-11), 8.0e-3, 17
-            scan = [s_star - span / 2 + span * k / (steps - 1) for k in range(steps)]
+        if detuning(lo) * detuning(hi) <= 0.0:
+            s_star = brentq(detuning, lo, hi, xtol=1e-11)
     score = _fidelity_on(target, xs)
-    at = functools.cache(lambda i: solved(centers, scan[i]))
-    fid = functools.cache(lambda i: score(at(i)[1]))
-    i = len(scan) // 2
-    while i > 0 and fid(i) <= fid(i - 1):
-        i -= 1
-    while i + 1 < len(scan) and fid(i + 1) > fid(i):
-        i += 1
-    return (*at(i), fid(i))
+    at = functools.cache(lambda s: solved(centers, s))
+    fid = functools.cache(lambda s: score(at(s)[1]) if lo <= s <= hi else 0.0)
+    # The subproblem match ignores the inter-group coupling: polish s* on the fidelity.
+    s = 1.0 if s_star is None else minimize_scalar(
+        lambda s: -fid(s), bracket=(s_star - POLISH_STEP, s_star), tol=POLISH_STEP / s_star).x
+    return (*at(s), fid(s))

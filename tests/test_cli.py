@@ -220,6 +220,30 @@ class TestRuns:
         assert "energy=0.982869492511" in lines
         assert "fidelity=0.988583315623" in lines
 
+    def test_well_report_odd_three_groups(self, tmp_path):
+        # the polish follows the fidelity 2e-2 below s*, past where a fixed
+        # 8e-3 window around s* stopped at 0.868
+        argv = ["well", "--amps", "1,-1,4,-4,7,-7", "--coeffs", "1,-1,1,-1,1,-1"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        report = dict(
+            line.split("=", 1) for line in (tmp_path / "well_report.txt").read_text().splitlines()
+        )
+        assert float(report["fidelity"]) >= 0.94
+
+    @pytest.mark.parametrize("command,extra,recorded", [
+        ("well", [], ["gamma=3", "points=5001"]),
+        ("all", [], ["gamma=3", "points=5001"]),
+        ("well", ["--domain=-30:30"], ["gamma=3", "points=5001", "domain=-30:30"]),
+        ("all", ["--domain=-30:30"], ["gamma=3", "points=5001", "domain=-30:30"]),
+        ("pnd", ["--domain=-30:30"], []),
+    ], ids=["well", "all", "well-domain", "all-domain", "pnd"])
+    def test_manifest_records_the_solver_grid(self, tmp_path, command, extra, recorded):
+        # a well run repeats from its manifest: gamma, points and any --domain
+        argv = [command, "--preset", "Y1", "--gamma", "3", "--points", "5001", *extra]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert [l for l in lines if l.split("=")[0] in ("gamma", "points", "domain")] == recorded
+
     def test_well_domain_reaches_calibration(self, tmp_path):
         # Y2's inner depths are calibrated on the --domain grid, not the default one
         rc = cli.main(["well", "--preset", "Y2", "--domain=-24:24", "--points", "2401",

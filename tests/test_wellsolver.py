@@ -1,11 +1,12 @@
 """Finite-difference ground states, parity folding, well calibration."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from multicat import states, wellsolver as ws
 
@@ -305,28 +306,54 @@ class TestCalibration:
         assert scales[1.0] == scales[-1.0] < 0.95
 
 
-def three_groups(sign):
-    """{+-1, +-4, +-7} with unit coefficients, times ``sign`` at negative amplitudes."""
-    return states.SuperpositionSpec(terms=tuple((m, c) for a in (1.0, 4.0, 7.0)
+def pairs(*amps, sign=1.0):
+    """{+-a, ...} with unit coefficients, times ``sign`` at negative amplitudes."""
+    return states.SuperpositionSpec(terms=tuple((m, c) for a in amps
                                                 for m, c in ((a, 1.0), (-a, sign))))
 
 
-THREE_GROUPS = {"even-1-4-7": three_groups(1.0), "odd-1-4-7": three_groups(-1.0)}
+THREE_GROUPS = {"even-1-4-7": pairs(1.0, 4.0, 7.0), "odd-1-4-7": pairs(1.0, 4.0, 7.0, sign=-1.0)}
+
+
+def calibration(target):
+    """The full wells at inner depth scale s on the default grid at gamma 2, as
+    ``solved(s) -> (wells, ground state)``, and brentq's s* at xtol 1e-11, or
+    None when the bracket ends do not differ in sign."""
+    cfg = ws.default_solver_config(target)
+    xs, odd = cfg.xs(), target.parity == "odd"
+    centers = tuple(sorted({float(m) for m in target.amplitudes}))
+    inner = tuple(c for c in centers if abs(c) == min(map(abs, centers)))
+
+    def solved(cs, s):
+        well = ws.WellPotentialSpec(centers=cs, v0=ws.CURVATURE / 2.0, gamma=2.0,
+                                    depth_scales=tuple(s if c in inner else 1.0 for c in cs))
+        return well, ws.ground_state(ws.potential(well, xs), cfg, odd)
+
+    e_outer = solved(tuple(c for c in centers if c not in inner), 1.0)[1].energy
+    detuning = lambda s: solved(inner, s)[1].energy - e_outer  # noqa: E731
+    lo, hi = ws.SCALE_BRACKET
+    s_star = brentq(detuning, lo, hi, xtol=1e-11) if detuning(lo) * detuning(hi) <= 0.0 else None
+    return functools.partial(solved, centers), s_star
+
+
+def inner_scale(well):
+    """The depth scale of ``well``'s innermost centre."""
+    return min(zip(well.centers, well.scales), key=lambda cs: abs(cs[0]))[1]
 
 
 class TestSolveOnce:
     @pytest.mark.parametrize("name,solves,gamma", [
         ("Y1", 11, 2.0), ("Y2", 11, 2.0), ("Y3", 12, 2.0), ("Y3", 12, 4.0),
-        ("odd-cat(2)", 1, 2.0), ("even-1-4-7", 17, 2.0), ("odd-1-4-7", 17, 2.0),
+        ("odd-cat(2)", 1, 2.0), ("even-1-4-7", 18, 2.0), ("odd-1-4-7", 18, 2.0),
     ])
     def test_each_well_system_solved_once(self, name, solves, gamma, monkeypatch):
         # odd-cat(2) has one group: one solve.  The others solve the outer
-        # wells, the bracket ends and brentq's steps to xtol 1e-11, then climb
-        # the 17-point scan: its centre s*, its two neighbours and each point
-        # the climb walks through (Y1, Y2 and Y3 stop at s*, the three-group
-        # targets walk to the low end); no system or bracket end is solved
-        # twice.  Y3 at gamma 4 guards against brentq bisecting the energies'
-        # noise (61 solves at xtol 1e-14)
+        # wells, the bracket ends and brentq's steps to xtol 1e-11, then the
+        # Brent polish: s* - POLISH_STEP, s* and s* + 1.618 POLISH_STEP, where
+        # Y1, Y2 and Y3 stop because s* scores best, while the three-group
+        # targets go on down to a peak about 2e-2 below s* (10 polish solves);
+        # no system or bracket end is solved twice.  Y3 at gamma 4 guards
+        # against brentq bisecting the energies' noise (61 solves at xtol 1e-14)
         target = THREE_GROUPS[name] if name in THREE_GROUPS else states.preset(name)
         calls = []
         real = ws.ground_state
@@ -340,8 +367,8 @@ class TestSolveOnce:
         assert len(calls) == solves
 
     @pytest.mark.parametrize("name,inner_scale,fid", [
-        ("even-1-4-7", 0.842010838657534, 0.9507517496593199),
-        ("odd-1-4-7", 1.0646872812948114, 0.8679481578406308),
+        ("even-1-4-7", 0.8383918076099411, 0.9606667393008039),
+        ("odd-1-4-7", 1.0466670453883802, 0.9421004780750162),
     ])
     def test_three_groups_rescale_only_the_inner_pair(self, name, inner_scale, fid):
         # frozen: computed at gamma 2 on the default grid
@@ -366,45 +393,31 @@ class TestSolveOnce:
 
     @pytest.mark.parametrize("target,floor", [
         (states.preset("Y1"), 0.0),
-        (states.SuperpositionSpec(terms=((4.1, 1.0), (-4.1, 1.0), (6.9, 1.0), (-6.9, 1.0))), 0.0),
+        (pairs(4.1, 6.9), 0.0),
         (states.preset("Y3"), 0.0),
-        (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (2.0, 3.0, 4.0) for m in (a, -a))),
-         0.0),
-        (states.SuperpositionSpec(terms=((1.0, 1.0), (-1.0, -1.0), (4.0, 1.0), (-4.0, -1.0))),
-         0.0),
+        (pairs(2.0, 3.0, 4.0), 0.0),
+        (pairs(1.0, 4.0, sign=-1.0), 0.0),
         (THREE_GROUPS["even-1-4-7"], 0.0),
-        (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (1.13189, 5.87753)
-                                              for m in (a, -a))), 0.0),
-        (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (2.3, 9.3) for m in (a, -a))),
-         0.99),
-        (states.SuperpositionSpec(terms=tuple((m, 1.0) for a in (3.0, 9.0) for m in (a, -a))),
-         0.99),
+        (pairs(1.13189, 5.87753), 0.0),
+        (pairs(2.3, 9.3), 0.99),
+        (pairs(3.0, 9.0), 0.99),
     ], ids=["Y1", "Y1-4.1-6.9", "Y3", "no-root-2-3-4", "odd-1-4", "even-1-4-7", "Y2-1.13-5.88",
             "2.3-9.3", "3-9"])
-    def test_root_then_scan_rule(self, target, floor):
+    def test_root_then_polish_rule(self, target, floor):
         # brentq's root over SCALE_BRACKET at xtol 1e-11 when the bracket ends
-        # differ in sign, then the best of the 17-point scan around it; else
+        # differ in sign, then Brent's search for the best fidelity bracketed
+        # from s* - POLISH_STEP and s*, scoring 0 outside SCALE_BRACKET; else
         # s = 1 alone.  {+-2.3, +-9.3} and {+-3, +-9} have roots within 1e-3
         # of 1 that score above 0.99, where s = 1 alone scores 0.505 and 0.942
-        cfg = ws.default_solver_config(target)
-        xs, odd = cfg.xs(), target.parity == "odd"
-        centers = tuple(sorted({float(m) for m in target.amplitudes}))
-        inner = tuple(c for c in centers if abs(c) == min(map(abs, centers)))
-
-        def solved(cs, s):
-            well = ws.WellPotentialSpec(centers=cs, v0=ws.CURVATURE / 2.0, gamma=2.0,
-                                        depth_scales=tuple(s if c in inner else 1.0 for c in cs))
-            return well, ws.ground_state(ws.potential(well, xs), cfg, odd)
-
-        e_outer = solved(tuple(c for c in centers if c not in inner), 1.0)[1].energy
-        detuning = lambda s: solved(inner, s)[1].energy - e_outer  # noqa: E731
+        solved, s_star = calibration(target)
         lo, hi = ws.SCALE_BRACKET
-        scan = [1.0]
-        if detuning(lo) * detuning(hi) <= 0.0:
-            s_star = brentq(detuning, lo, hi, xtol=1e-11)
-            scan = [s_star - 8.0e-3 / 2 + 8.0e-3 * k / 16 for k in range(17)]
-        want = max(((well, psi, ws.fidelity(psi, target)) for well, psi in
-                    (solved(centers, s) for s in scan)), key=lambda r: r[2])
+        fid = functools.cache(
+            lambda s: ws.fidelity(solved(s)[1], target) if lo <= s <= hi else 0.0)
+        s = 1.0
+        if s_star is not None:
+            s = minimize_scalar(lambda s: -fid(s), bracket=(s_star - ws.POLISH_STEP, s_star),
+                                tol=ws.POLISH_STEP / s_star).x
+        want = (*solved(s), fid(s))
         got = ws.solve_well(target)
         assert got[0] == want[0] and got[2] == want[2]
         for name in ("xs", "values"):
@@ -412,43 +425,66 @@ class TestSolveOnce:
         assert (got[1].energy, got[1].residual) == (want[1].energy, want[1].residual)
         assert got[2] >= floor
 
-    @pytest.mark.parametrize("fids,best,solved", [
-        ([-abs(k - 11) for k in range(17)], 11, {7, 8, 9, 10, 11, 12}),
-        ([-abs(k - 5) for k in range(17)], 5, {4, 5, 6, 7, 8}),
-        ([-k for k in range(17)], 0, set(range(9))),
-        ([k for k in range(17)], 16, {7} | set(range(8, 17))),
-        ([-abs(k - 7.5) for k in range(17)], 7, {6, 7, 8}),
-        ([-abs(k - 8.5) for k in range(17)], 8, {7, 8, 9}),
-    ], ids=["interior-right", "interior-left", "low-end", "high-end", "tie-left", "tie-right"])
-    def test_climb_on_scripted_fidelities(self, fids, best, solved, monkeypatch):
-        # Y2's s* is not pinned, so the 17-point scan runs.  Each full-system
-        # solve is tagged with its scan index (the centre s* is solved first)
-        # and scored fids[index]; ties resolve to the lower index
-        pending, scales, index = [], [], {}
-        step = 8.0e-3 / 16
+    @pytest.mark.parametrize("target,floor", [
+        (pairs(2.3, 9.3), 0.99),
+        (pairs(3.0, 9.0), 0.99),
+        (pairs(1.0, 4.0, sign=-1.0), 0.98),
+        (THREE_GROUPS["even-1-4-7"], 0.96),
+        (THREE_GROUPS["odd-1-4-7"], 0.94),
+        (pairs(0.6, 6.1, sign=-1.0), 0.99),
+    ], ids=["2.3-9.3", "3-9", "odd-1-4", "even-1-4-7", "odd-1-4-7", "odd-0.6-6.1"])
+    def test_polish_never_loses_to_s_star(self, target, floor):
+        # the full problem solved at the target's own s* bounds the returned
+        # fidelity from below; the floors lie above what a fixed 8e-3 window
+        # around s* returned for {+-1, +-4, +-7} and odd {+-0.6, +-6.1}
+        solved, s_star = calibration(target)
+        got = ws.solve_well(target)[2]
+        assert got >= ws.fidelity(solved(s_star)[1], target)
+        assert got >= floor
+
+    @pytest.mark.parametrize("name,peak", [
+        ("Y2", None), ("odd-1-4-7", None), ("Y2", 0.0), ("Y2", -0.04), ("Y2", 0.03),
+        ("Y2", 2.0), ("Y2", -2.0),
+    ], ids=["Y2", "odd-1-4-7", "Y2-at-s*", "Y2-left", "Y2-right", "Y2-past-high", "Y2-past-low"])
+    def test_polish_solves_each_scale_once(self, name, peak, monkeypatch):
+        # Each full-system solve is tagged with its inner scale.  With ``peak``
+        # the fidelity is scripted: a Lorentzian 1e-2 wide centred ``peak``
+        # from s*, which is POLISH_STEP above the first scale solved.  No scale
+        # may be solved twice or outside SCALE_BRACKET, the returned scale must
+        # be a solved one and, when scripted, lie within 3 POLISH_STEP of the
+        # peak clipped to SCALE_BRACKET
+        target = THREE_GROUPS[name] if name in THREE_GROUPS else states.preset(name)
+        full = len(set(target.amplitudes))
+        pending, scales, scale_of = [], [], {}
         real_sum, real_solve = ws._well_sum, ws.ground_state
 
         def well_sum(well, xa, shapes):
-            full = len(well.centers) == 4
-            pending.append(dict(zip(well.centers, well.scales))[1.0] if full else None)
+            pending.append(inner_scale(well) if len(well.centers) == full else None)
             return real_sum(well, xa, shapes)
 
         def solve(*args, **kwargs):
             psi, scale = real_solve(*args, **kwargs), pending.pop()
             if scale is not None:
                 scales.append(scale)
-                index[id(psi)] = 8 + round((scale - scales[0]) / step)
+                scale_of[id(psi)] = scale
             return psi
+
+        def script(s):
+            return 1.0 / (1.0 + ((s - scales[0] - ws.POLISH_STEP - peak) / 1e-2) ** 2)
 
         monkeypatch.setattr(ws, "_well_sum", well_sum)
         monkeypatch.setattr(ws, "ground_state", solve)
-        monkeypatch.setattr(ws, "_fidelity_on", lambda target, xs: lambda psi: fids[index[id(psi)]])
-        well, psi, fid = ws.solve_well(states.preset("Y2"))
-        indices = [8 + round((scale - scales[0]) / step) for scale in scales]
-        assert len(indices) == len(set(indices)) and set(indices) == solved
-        assert index[id(psi)] == best and fid == fids[best]
-        assert dict(zip(well.centers, well.scales))[1.0] == pytest.approx(
-            scales[0] + (best - 8) * step, abs=1e-15)
+        if peak is not None:
+            monkeypatch.setattr(ws, "_fidelity_on",
+                                lambda target, xs: lambda psi: script(scale_of[id(psi)]))
+        well, psi, fid = ws.solve_well(target)
+        lo, hi = ws.SCALE_BRACKET
+        assert len(scales) == len(set(scales)) and all(lo <= s <= hi for s in scales)
+        assert inner_scale(well) in scales and scale_of[id(psi)] == inner_scale(well)
+        if peak is not None:
+            want = min(max(scales[0] + ws.POLISH_STEP + peak, lo), hi)
+            assert inner_scale(well) == pytest.approx(want, abs=3 * ws.POLISH_STEP)
+            assert fid == script(inner_scale(well))
 
     def test_check_order(self):
         # symmetric target, then wells merge, then gamma
