@@ -3,9 +3,9 @@
 Subcommands: ``wigner``, ``marginals``, ``pnd``, ``envelope``, ``well``
 and ``all``.  Each run writes deterministic CSV files (12 significant
 digits, fixed orderings, no timestamps inside data files) plus a
-``manifest.txt`` listing the outputs and parameters; the manifest alone
-carries the wall-clock timestamp.  Exit codes: 0 success, 2 usage
-errors, 1 runtime failures.
+``manifest.txt`` listing the outputs and the parameters the command read;
+the manifest alone carries the wall-clock timestamp.  Exit codes: 0
+success, 2 usage errors, 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import marginals, photon, states, wellsolver, wigner
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 _COMMANDS = ("wigner", "marginals", "pnd", "envelope", "well", "all")
 
@@ -35,21 +34,6 @@ _VALUE_FLAGS = {
     "--coeffs",
     "--domain",
 }
-
-
-@dataclass
-class RunConfig:
-    """Validated CLI invocation."""
-
-    command: str
-    spec: states.SuperpositionSpec
-    out_dir: Path
-    qrange: Optional[Tuple[float, float, int]] = None
-    prange: Optional[Tuple[float, float, int]] = None
-    nmax: Optional[int] = None
-    points: int = wellsolver.DEFAULT_POINTS
-    domain: Optional[Tuple[float, float]] = None
-    gamma: float = wellsolver.DEFAULT_GAMMA
 
 
 def _parse_bounds(text: str, fields: int) -> tuple:
@@ -114,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--qrange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
         p.add_argument("--prange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
         p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", type=Path, default=".", help="output directory")
         p.add_argument("--points", type=int, default=wellsolver.DEFAULT_POINTS,
                        help="solver grid points")
         p.add_argument("--domain", type=parse_domain, default=None, metavar="MIN:MAX")
@@ -123,11 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    """Parse and validate argv into a RunConfig.
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse and validate argv into the namespace ``run`` reads.
 
-    Usage problems (unknown flags, malformed numbers, conflicting or
-    missing spec sources) raise SystemExit with code 2, matching argparse.
+    ``--preset`` or ``--amps``/``--coeffs`` become ``spec`` and are dropped;
+    every other flag keeps its name and parsed value.  Usage problems
+    (unknown flags, malformed numbers, conflicting or missing spec sources)
+    raise SystemExit with code 2, matching argparse.
     """
     parser = _build_parser()
     ns = parser.parse_args(_normalize_argv(list(argv)))
@@ -158,17 +144,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if not 0 < ns.gamma < math.inf:
         parser.error("--gamma must be positive and finite")
 
-    return RunConfig(
-        command=ns.command,
-        spec=spec,
-        out_dir=Path(ns.out),
-        qrange=ns.qrange,
-        prange=ns.prange,
-        nmax=ns.nmax,
-        points=ns.points,
-        domain=ns.domain,
-        gamma=ns.gamma,
-    )
+    ns.spec = spec
+    del ns.preset, ns.amps, ns.coeffs
+    return ns
 
 
 #: printf format of every number in the data files.  ``%`` formatting and
@@ -211,7 +189,7 @@ def _write_csv(path: Path, header: str, *columns) -> None:
             fh.write(row_template.replace(b"\0", cell % q + b",") % tuple(row.tolist()))
 
 
-def _grid_for(cfg: RunConfig) -> wigner.PhaseSpaceGrid:
+def _grid_for(cfg: argparse.Namespace) -> wigner.PhaseSpaceGrid:
     default = wigner.default_grid(cfg.spec)
     q = cfg.qrange or (default.q_min, default.q_max, default.nq)
     p = cfg.prange or (default.p_min, default.p_max, default.np)
@@ -226,43 +204,43 @@ def _csv(path: Path, header: str, *columns) -> _Output:
     return path, partial(_write_csv, path, header, *columns)
 
 
-def _emit_wigner(cfg: RunConfig) -> List[_Output]:
+def _emit_wigner(cfg: argparse.Namespace) -> List[_Output]:
     grid = _grid_for(cfg)
     fld = wigner.wigner_closed_form(cfg.spec, grid)
-    return [_csv(cfg.out_dir / "wigner_field.csv", "q,p,w", grid.qs(), grid.ps(), fld.values)]
+    return [_csv(cfg.out / "wigner_field.csv", "q,p,w", grid.qs(), grid.ps(), fld.values)]
 
 
-def _emit_marginals(cfg: RunConfig) -> List[_Output]:
+def _emit_marginals(cfg: argparse.Namespace) -> List[_Output]:
     grid = _grid_for(cfg)
     qcurve = marginals.position_marginal(cfg.spec, grid.qs())
     pcurve = marginals.momentum_marginal(cfg.spec, grid.ps())
     return [
-        _csv(cfg.out_dir / "marginal_position.csv", "coordinate,density",
+        _csv(cfg.out / "marginal_position.csv", "coordinate,density",
              qcurve.coordinates, qcurve.densities),
-        _csv(cfg.out_dir / "marginal_momentum.csv", "coordinate,density",
+        _csv(cfg.out / "marginal_momentum.csv", "coordinate,density",
              pcurve.coordinates, pcurve.densities),
     ]
 
 
-def _effective_nmax(cfg: RunConfig) -> int:
+def _effective_nmax(cfg: argparse.Namespace) -> int:
     return cfg.nmax if cfg.nmax is not None else states.min_fock_truncation(cfg.spec)
 
 
-def _emit_pnd(cfg: RunConfig) -> List[_Output]:
+def _emit_pnd(cfg: argparse.Namespace) -> List[_Output]:
     dist = photon.qts_pnd(cfg.spec, _effective_nmax(cfg))
-    return [_csv(cfg.out_dir / "pnd.csv", "n,probability", np.arange(dist.probs.size), dist.probs)]
+    return [_csv(cfg.out / "pnd.csv", "n,probability", np.arange(dist.probs.size), dist.probs)]
 
 
-def _emit_envelope(cfg: RunConfig) -> List[_Output]:
+def _emit_envelope(cfg: argparse.Namespace) -> List[_Output]:
     ns = np.arange(0.0, _effective_nmax(cfg) + 0.25, 0.25)
     flags = (False, True)
     values, slopes = zip(*(photon.pair_envelope(cfg.spec, ns, flag) for flag in flags))
-    return [_csv(cfg.out_dir / "envelope.csv", "n,value,derivative,with_interference",
+    return [_csv(cfg.out / "envelope.csv", "n,value,derivative,with_interference",
                  np.tile(ns, 2), np.concatenate(values), np.concatenate(slopes),
                  np.repeat(flags, ns.size))]
 
 
-def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[_Output]:
+def _emit_well(cfg: argparse.Namespace, include_curves: bool = True) -> List[_Output]:
     if cfg.domain is None:
         solver_cfg = wellsolver.default_solver_config(cfg.spec, points=cfg.points, gamma=cfg.gamma)
     else:
@@ -273,15 +251,15 @@ def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[_Output]:
 
     outputs: List[_Output] = []
     if include_curves:
-        outputs.append(_csv(cfg.out_dir / "well_potential.csv", "x,V",
+        outputs.append(_csv(cfg.out / "well_potential.csv", "x,V",
                             xs, wellsolver.potential(well_spec, xs)))
-        outputs.append(_csv(cfg.out_dir / "well_wavefunction.csv", "x,psi", xs, psi.values))
+        outputs.append(_csv(cfg.out / "well_wavefunction.csv", "x,psi", xs, psi.values))
 
     report = (
         f"centers={','.join(_fmt(c) for c in well_spec.centers)}\n"
         f"v0={_fmt(well_spec.v0)}\n"
         f"gamma={_fmt(well_spec.gamma)}\n"
-        f"sigma={_fmt(well_spec.sigma)}\n"
+        "sigma=1\n"  # the unit width in which gamma sets the wells' width 1/sqrt(gamma)
         f"depth_scales={','.join(_fmt(s) for s in well_spec.scales)}\n"
         f"grid_step={_fmt(psi.dx)}\n"
         f"energy={_fmt(psi.energy)}\n"
@@ -290,18 +268,18 @@ def _emit_well(cfg: RunConfig, include_curves: bool = True) -> List[_Output]:
         f"fidelity={_fmt(fid)}\n"
         f"peak_positions={','.join(_fmt(p) for p in peaks)}\n"
     )
-    rpath = cfg.out_dir / "well_report.txt"
+    rpath = cfg.out / "well_report.txt"
     outputs.append((rpath, partial(rpath.write_text, report, newline="\n")))
     return outputs
 
 
-def run(cfg: RunConfig) -> List[Path]:
+def run(cfg: argparse.Namespace) -> List[Path]:
     """Execute a parsed configuration; returns the emitted data files.
 
     Every step computes before any file is written, so a step that fails
     leaves no data file of this run behind without a manifest.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     outputs: List[_Output] = []
     if cfg.command in ("wigner", "all"):
         outputs += _emit_wigner(cfg)
@@ -318,17 +296,19 @@ def run(cfg: RunConfig) -> List[Path]:
     for _, write in outputs:
         write()
 
-    manifest = cfg.out_dir / "manifest.txt"
+    manifest = cfg.out / "manifest.txt"
     with manifest.open("w", newline="\n") as fh:
         fh.write(f"command={cfg.command}\n")
         label = cfg.spec.label or "custom"
         fh.write(f"spec={label}\n")
         fh.write(f"terms={';'.join(f'{_fmt(m)}:{_fmt(c)}' for m, c in cfg.spec.terms)}\n")
-        if cfg.qrange:
-            fh.write(f"qrange={_fmt(cfg.qrange[0])}:{_fmt(cfg.qrange[1])}:{cfg.qrange[2]}\n")
-        if cfg.prange:
-            fh.write(f"prange={_fmt(cfg.prange[0])}:{_fmt(cfg.prange[1])}:{cfg.prange[2]}\n")
-        if cfg.nmax is not None:
+        # only what this command read, so the manifest repeats the run
+        if cfg.command in ("wigner", "marginals", "all"):
+            for key in ("qrange", "prange"):
+                if getattr(cfg, key):
+                    lo, hi, n = getattr(cfg, key)
+                    fh.write(f"{key}={_fmt(lo)}:{_fmt(hi)}:{n}\n")
+        if cfg.nmax is not None and cfg.command in ("pnd", "envelope", "all"):
             fh.write(f"nmax={cfg.nmax}\n")
         if cfg.command in ("well", "all"):
             fh.write(f"gamma={_fmt(cfg.gamma)}\npoints={cfg.points}\n")

@@ -3,7 +3,7 @@
 The potential is a sum of attractive Gaussian wells at the requested
 centres,
 
-    V(x) = sum_c s_c * Vg(x - c) - Vg(0),    Vg(x) = -V0 exp(-g x^2 / (2 s^2)),
+    V(x) = sum_c s_c * Vg(x - c) - Vg(0),    Vg(x) = -V0 exp(-gamma x^2 / 2),
 
 sampled on the solver grid and discretized by ``ground_state`` alone with
 the three-point stencil (hbar = m = 1, Dirichlet ends)
@@ -20,7 +20,7 @@ BOUNDARY_DECAY of its peak at both grid ends is refused (ValueError), as in
 ``wigner.wigner_numeric``.
 
 ``solve_well`` is the well pipeline for a target superposition: it pins
-the local curvature V0 * gamma / sigma^2 so each well's ground mode has
+the local curvature V0 * gamma so each well's ground mode has
 roughly the coherent-state position width, trims the inner wells' depth
 until the inner and outer well structures are degenerate (so the ground
 state cannot localize in whichever wells neighbouring tails deepen), and
@@ -54,11 +54,13 @@ __all__ = [
     "default_solver_config",
 ]
 
-#: Local well curvature V0 * gamma / sigma^2 (harmonic frequency squared).
+#: Local well curvature V0 * gamma (harmonic frequency squared).
 #: Width matching alone would ask for 4 (frequency 2, coherent width 1/2);
 #: the overshoot compensates the Gaussian wells' quartic flattening, which
 #: otherwise broadens each local mode and drags neighbouring humps together.
-#: Measured target fidelities across the built-in cases peak near this value.
+#: It is not the best value at gamma 2: 6 gives fidelities Y1 0.9886, Y2
+#: 0.9789, Y3 0.9916 and odd-cat(3) 0.9949; 8 gives 0.9975, 0.9798, 0.9982
+#: and 0.9986; Y2 peaks near 7, at 0.9800.
 CURVATURE = 6.0
 
 #: ``solve_well``'s inner depth scales: brentq's bracket for s*, and 0 fidelity outside.
@@ -82,6 +84,7 @@ DEFAULT_POINTS = 4001
 class WellPotentialSpec:
     """Sum-of-Gaussian-wells potential description.
 
+    Each well has depth ``v0`` and Gaussian width 1/sqrt(``gamma``).
     ``depth_scales`` optionally multiplies each well's depth; the default
     of all ones is the plain equal-depth form.
     """
@@ -89,15 +92,14 @@ class WellPotentialSpec:
     centers: Tuple[float, ...]
     v0: float
     gamma: float
-    sigma: float = 1.0
     depth_scales: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
         if not self.centers:
             raise ValueError("at least one well centre is required")
-        if not all(0 < x < math.inf for x in (self.v0, self.gamma, self.sigma)):
-            raise ValueError("v0, gamma and sigma must be positive and finite")
+        if not all(0 < x < math.inf for x in (self.v0, self.gamma)):
+            raise ValueError("v0 and gamma must be positive and finite")
         if self.depth_scales is not None:
             scales = tuple(float(s) for s in self.depth_scales)
             if len(scales) != len(self.centers):
@@ -122,6 +124,8 @@ class SolverConfig:
         lo, hi = self.domain
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("domain must be finite and satisfy x_min < x_max")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 3:
             raise ValueError("need at least three grid points")
         if self.points % 2 == 0:
@@ -158,7 +162,7 @@ class DiscretizedWavefunction:
 
 def _well_sum(spec: WellPotentialSpec, xa: np.ndarray, shapes: dict) -> np.ndarray:
     """``potential`` on ``xa``, reusing the exp(-k (x - c)^2) that ``shapes`` holds for xa and k."""
-    k = spec.gamma / (2.0 * spec.sigma**2)
+    k = spec.gamma / 2.0
     out = np.zeros_like(xa)
     for c, s in zip(spec.centers, spec.scales):
         if c not in shapes:
@@ -283,7 +287,7 @@ def default_solver_config(
 
 
 #: Widest grid step allowed, as a fraction of the narrower of a well's
-#: Gaussian width sigma / sqrt(gamma) and the coherent position width 1/2.
+#: Gaussian width 1 / sqrt(gamma) and the coherent position width 1/2.
 MAX_STEP_FRACTION = 0.5
 
 
@@ -310,9 +314,9 @@ def solve_well(
 ) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
     """Calibrated wells for a target superposition, their ground state and its fidelity.
 
-    Wells sit at the target amplitudes with sigma = 1 and V0 = CURVATURE /
-    gamma.  With more than one |amplitude| the inner wells' depth scale s* is
-    the ``brentq`` root (xtol 1e-11, the energies' noise floor) in SCALE_BRACKET
+    Wells sit at the target amplitudes with V0 = CURVATURE / gamma.  With
+    more than one |amplitude| the inner wells' depth scale s* is the
+    ``brentq`` root (xtol 1e-11, the energies' noise floor) in SCALE_BRACKET
     of the inner/outer subproblem ground-energy difference, which falls with s.
     The full problem's fidelity is then maximised over s by SciPy's Brent
     search (``minimize_scalar``), bracketed from s* - POLISH_STEP and s* and
@@ -336,11 +340,11 @@ def solve_well(
         )
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    spec = WellPotentialSpec(centers=centers, v0=CURVATURE / gamma, gamma=gamma, sigma=1.0)
+    spec = WellPotentialSpec(centers=centers, v0=CURVATURE / gamma, gamma=gamma)
     cfg = cfg or default_solver_config(target, gamma=gamma)
     xs = cfg.xs()
     dx = float(xs[1] - xs[0])
-    limit = MAX_STEP_FRACTION * min(spec.sigma / math.sqrt(gamma), 0.5)
+    limit = MAX_STEP_FRACTION * min(1.0 / math.sqrt(gamma), 0.5)
     if dx > limit:
         raise ValueError(
             f"grid too coarse: step {dx:.3g} exceeds {limit:.3g}, half the well"
@@ -352,6 +356,7 @@ def solve_well(
     outer = tuple(c for c in centers if c not in inner)
     shapes: dict = {}
 
+    @functools.cache
     def solved(cs: Tuple[float, ...], s: float):
         """The wells at ``cs``, the inner ones at depth scale ``s``, and their ground state."""
         scales = tuple(s if c in inner else 1.0 for c in cs)
@@ -362,13 +367,14 @@ def solve_well(
     s_star = None  # one group or no root, so s = 1
     if outer:
         e_outer = solved(outer, 1.0)[1].energy
-        detuning = functools.cache(lambda s: solved(inner, s)[1].energy - e_outer)
+        detuning = lambda s: solved(inner, s)[1].energy - e_outer
         if detuning(lo) * detuning(hi) <= 0.0:
             s_star = brentq(detuning, lo, hi, xtol=1e-11)
     score = _fidelity_on(target, xs)
-    at = functools.cache(lambda s: solved(centers, s))
-    fid = functools.cache(lambda s: score(at(s)[1]) if lo <= s <= hi else 0.0)
+    fid = lambda s: score(solved(centers, s)[1]) if lo <= s <= hi else 0.0
     # The subproblem match ignores the inter-group coupling: polish s* on the fidelity.
     s = 1.0 if s_star is None else minimize_scalar(
         lambda s: -fid(s), bracket=(s_star - POLISH_STEP, s_star), tol=POLISH_STEP / s_star).x
-    return (*at(s), fid(s))
+    best = (*solved(centers, s), fid(s))
+    solved.cache_clear()  # brentq's wrapper of detuning is a reference cycle that holds the cache
+    return best

@@ -61,6 +61,8 @@ class PhaseSpaceGrid:
         if not (-math.inf < self.q_min < self.q_max < math.inf
                 and -math.inf < self.p_min < self.p_max < math.inf):
             raise ValueError("grid bounds must be finite and satisfy min < max")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nq, self.np)):
+            raise ValueError(f"sample counts nq, np must be integers, got {self.nq!r}, {self.np!r}")
         if self.nq < 2 or self.np < 2:
             raise ValueError("grid needs at least two samples per axis")
 

@@ -236,13 +236,23 @@ class TestRuns:
         ("well", ["--domain=-30:30"], ["gamma=3", "points=5001", "domain=-30:30"]),
         ("all", ["--domain=-30:30"], ["gamma=3", "points=5001", "domain=-30:30"]),
         ("pnd", ["--domain=-30:30"], []),
-    ], ids=["well", "all", "well-domain", "all-domain", "pnd"])
+        ("wigner", ["--qrange=-12:12:601", "--nmax", "5"], ["qrange=-12:12:601"]),
+        ("marginals", ["--prange=-8:8:401", "--nmax", "5"], ["prange=-8:8:401"]),
+        ("pnd", ["--qrange=-1:1:3", "--prange=-1:1:3", "--nmax", "140"], ["nmax=140"]),
+        ("envelope", ["--qrange=-1:1:3", "--prange=-1:1:3"], []),
+        ("all", ["--qrange=-12:12:601", "--nmax", "140"],
+         ["qrange=-12:12:601", "nmax=140", "gamma=3", "points=5001"]),
+    ], ids=["well", "all", "well-domain", "all-domain", "pnd", "wigner-ranges",
+            "marginals-ranges", "pnd-nmax", "envelope", "all-ranges-nmax"])
     def test_manifest_records_the_solver_grid(self, tmp_path, command, extra, recorded):
-        # a well run repeats from its manifest: gamma, points and any --domain
+        # a run repeats from its manifest, which records only what its command
+        # read: ranges for the grids, nmax for the photon numbers, and gamma,
+        # points and any --domain for the wells
         argv = [command, "--preset", "Y1", "--gamma", "3", "--points", "5001", *extra]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
-        assert [l for l in lines if l.split("=")[0] in ("gamma", "points", "domain")] == recorded
+        keys = ("qrange", "prange", "nmax", "gamma", "points", "domain")
+        assert [l for l in lines if l.split("=")[0] in keys] == recorded
 
     def test_well_domain_reaches_calibration(self, tmp_path):
         # Y2's inner depths are calibrated on the --domain grid, not the default one

@@ -122,6 +122,12 @@ class TestZeroAmplitude:
         with pytest.raises(ValueError, match="nonnegative"):
             photon.inter_poissonian(1.0, -2.0, 4)
 
+    @pytest.mark.parametrize("nmax", [-1, 3.5, math.nan])
+    def test_bad_nmax_rejected(self, nmax):
+        # refused here, not failed inside NumPy or returned over the wrong n range
+        with pytest.raises(ValueError, match="nmax must be a nonnegative integer"):
+            photon.qts_pnd_closed_form(2.0, 5.0, nmax)
+
 
 class TestInterPoissonian:
     def test_unknown_parity_rejected(self):
@@ -275,6 +281,14 @@ class TestEnvelopeDerivative:
         want = self.BISECTION_ROOTS[(name, include)]
         assert got.shape == (len(want),)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_min,n_max", [
+        (0.0, math.nan), (0.0, math.inf), (50.0, 10.0), (math.nan, 10.0), (-1.0, 10.0),
+    ], ids=["nan", "inf", "reversed", "nan-min", "negative"])
+    def test_bad_extrema_bounds_rejected(self, n_min, n_max):
+        # refused here, not inside NumPy's arange or as an empty result
+        with pytest.raises(ValueError, match="n_min <= n_max"):
+            photon.envelope_extrema(2.0, 5.0, n_min, n_max)
 
 
 def pair_spec(mags, coeffs, parity):

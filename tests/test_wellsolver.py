@@ -29,7 +29,7 @@ def dense_hamiltonian(v, cfg):
 class TestPotential:
     def test_single_well_centre_value(self):
         # the +V0 offset cancels a lone unit well's depth at its centre
-        spec = ws.WellPotentialSpec(centers=(0.0,), v0=3.0, gamma=2.0, sigma=1.0)
+        spec = ws.WellPotentialSpec(centers=(0.0,), v0=3.0, gamma=2.0)
         assert ws.potential(spec, 0.0) == 0.0
         assert ws.potential(spec, 10.0) == pytest.approx(3.0, rel=1e-14)
 
@@ -54,10 +54,10 @@ class TestPotential:
             ws.WellPotentialSpec(centers=(1.0, -1.0), v0=1.0, gamma=1.0,
                                  depth_scales=(1.0,))
 
-    @pytest.mark.parametrize("field", ["v0", "gamma", "sigma", "depth_scales"])
+    @pytest.mark.parametrize("field", ["v0", "gamma", "depth_scales"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_non_finite_or_nonpositive_parameters_rejected(self, field, bad):
-        kwargs = dict(centers=(1.0, -1.0), v0=1.0, gamma=1.0, sigma=1.0)
+        kwargs = dict(centers=(1.0, -1.0), v0=1.0, gamma=1.0)
         kwargs[field] = (1.0, bad) if field == "depth_scales" else bad
         with pytest.raises(ValueError, match="positive and finite"):
             ws.WellPotentialSpec(**kwargs)
@@ -195,6 +195,12 @@ class TestGroundState:
         with pytest.raises(ValueError):
             ws.SolverConfig(domain=(-5.0, 5.0), points=400)
 
+    def test_non_integer_point_count_rejected(self):
+        # refused here, not later inside xs()
+        with pytest.raises(ValueError, match="integer"):
+            ws.SolverConfig(domain=(-5.0, 5.0), points=101.0)
+        assert ws.SolverConfig(domain=(-5.0, 5.0), points=np.int64(101)).xs().size == 101
+
     @pytest.mark.parametrize("domain", [
         (-math.inf, 5.0), (-5.0, math.inf), (-math.inf, math.inf), (math.nan, 5.0), (-5.0, math.nan),
     ])
@@ -208,7 +214,7 @@ class TestCalibration:
     def test_first_case_geometry(self):
         spec = ws.solve_well(states.preset("Y1"))[0]
         assert spec.centers == (-7.0, -4.0, 4.0, 7.0)
-        assert spec.v0 * spec.gamma / spec.sigma**2 == pytest.approx(ws.CURVATURE)
+        assert spec.v0 * spec.gamma == pytest.approx(ws.CURVATURE)
 
     def test_narrow_gap_rejected(self):
         target = states.SuperpositionSpec(terms=((0.25, 1.0), (-0.25, 1.0)))

@@ -531,3 +531,13 @@ class TestGridValidation:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             wigner.PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 1, 10)
+
+    @pytest.mark.parametrize("counts", [(10.5, 10), (10, 10.0)])
+    def test_non_integer_counts_rejected(self, counts):
+        # refused here, not later inside qs() or ps()
+        with pytest.raises(ValueError, match="integers"):
+            wigner.PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, *counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = wigner.PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, np.int64(11), np.int32(5))
+        assert grid.qs().size == 11 and grid.ps().size == 5
