@@ -192,11 +192,14 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
 
     Each term is summed from log space, -mu^2/2 + n log|mu| - log(n!)/2 with
     0 log 0 = 0, so large photon numbers do not overflow and mu = 0 gives
-    the vacuum.  ``nmax`` below the truncation rule raises ValueError, and so
-    does a sum that cancels so far that the captured mass misses one by more
-    than ``TRUNCATION_TOLERANCE``.
+    the vacuum.  An ``nmax`` that is not an integer (NumPy integers are) or
+    lies below the truncation rule raises ValueError, and so does a sum that
+    cancels so far that the captured mass misses one by more than
+    ``TRUNCATION_TOLERANCE``.
     """
     floor = min_fock_truncation(spec)
+    if not isinstance(nmax, (int, np.integer)):
+        raise ValueError(f"nmax must be an integer of at least {floor}, got {nmax!r}")
     if nmax < floor:
         raise ValueError(
             f"truncation too small: nmax={nmax} below tail rule minimum {floor}"

@@ -11,13 +11,14 @@ the three-point stencil (hbar = m = 1, Dirichlet ends)
     H[i, i]   = 1/dx^2 + V_i,
     H[i, i+1] = H[i+1, i] = -1/(2 dx^2),
 
-and solved for its lowest eigenpair by LAPACK's ``dstebz`` and ``dstein``
-(from ``scipy.linalg.get_lapack_funcs``).  A reflection-symmetric H is
-solved on one half of the grid in the requested parity sector: the even
-sector keeps the centre row and scales its coupling by sqrt(2), the odd
-sector drops it (psi(0) = 0).  A solution that has not decayed to
-BOUNDARY_DECAY of its peak at both grid ends is refused (ValueError), as in
-``wigner.wigner_numeric``.
+and solved for its lowest eigenpair by Noda's inverse iteration (Y. Noda,
+Numer. Math. 17, 382 (1971)) with LAPACK's ``dpttrf``/``dpttrs``: H's
+couplings are negative, so its lowest eigenvector is its one positive one.
+A reflection-symmetric H is solved on one half of the grid in the requested
+parity sector: the even sector keeps the centre row and scales its coupling
+by sqrt(2), the odd sector drops it (psi(0) = 0).  A solution that has not
+decayed to BOUNDARY_DECAY of its peak at both grid ends is refused
+(ValueError), as in ``wigner.wigner_numeric``.
 
 ``solve_well`` is the well pipeline for a target superposition: it pins
 the local curvature V0 * gamma so each well's ground mode has
@@ -75,6 +76,9 @@ MIN_GAP = 1.0
 
 #: Default well shape parameter gamma of ``solve_well`` and the CLI.
 DEFAULT_GAMMA = 2.0
+
+#: ``ground_state``'s Noda shift margin and residual floor over ||H||, and its step cap.
+NODA_TOL, NODA_MAX_STEPS = 8 * np.finfo(float).eps, 16
 
 #: Default solver grid points of ``SolverConfig`` and the CLI.
 DEFAULT_POINTS = 4001
@@ -180,7 +184,7 @@ def potential(spec: WellPotentialSpec, x) -> np.ndarray | float:
 def ground_state(
     v_samples: np.ndarray, cfg: SolverConfig, odd: bool = False
 ) -> DiscretizedWavefunction:
-    """Lowest eigenpair of -1/2 d^2/dx^2 + V on ``cfg``'s grid, by LAPACK.
+    """Lowest eigenpair of -1/2 d^2/dx^2 + V on ``cfg``'s grid, by Noda iteration.
 
     ``v_samples`` is V on ``cfg.xs()``; the three-point stencil (module
     docstring) is built here and nowhere else.  A reflection-symmetric
@@ -190,12 +194,16 @@ def ground_state(
     even sector takes rows m, m+1, ... with the first coupling scaled by
     sqrt(2), and its solution's first component is scaled back by sqrt(2);
     the odd sector (``odd``) takes rows m+1, ... (psi(0) = 0).  The half
-    solution is mirrored with the sector's sign and made positive in sum
-    over the solved half.  An asymmetric V is solved on the full grid and
-    has no odd sector (ValueError).  A solution that has not decayed to
-    BOUNDARY_DECAY of its peak at either grid end raises ValueError: the
-    domain cuts the state off; so do non-finite samples, and a LAPACK failure
-    raises LinAlgError.  The result records one iteration and its residual.
+    solution is mirrored with the sector's sign, positive on the solved half.
+    An asymmetric V is solved on the full grid and has no odd sector
+    (ValueError).  From x = 1 and sigma = min V < E0, each Noda step solves
+    (H - sigma) y = x, so y > 0 and min(x / y) <= E0 - sigma (Collatz-
+    Wielandt); x becomes y / |y| and sigma that bound less tol = NODA_TOL ||H||,
+    until the bound is within 2 tol or ``pttrf`` refuses a shift on E0.  The
+    energy is x's Rayleigh quotient.  A solution not decayed to BOUNDARY_DECAY
+    of its peak at a grid end, and non-finite samples, raise ValueError.  A
+    LAPACK failure, NODA_MAX_STEPS steps, or a residual above tol plus the
+    fold's mirror mismatch raise LinAlgError.  It records its steps and residual.
     """
     xs = cfg.xs()
     v_samples = np.asarray(v_samples, dtype=float)
@@ -211,7 +219,8 @@ def ground_state(
     if not np.isfinite(diag).all():
         raise ValueError("potential samples and grid step must be finite")
     scale = max(1.0, float(np.max(np.abs(diag))))
-    symmetric = bool(np.all(np.abs(diag - diag[::-1]) <= 1e-9 * scale))
+    skew = float(np.max(np.abs(diag - diag[::-1])))  # the fold ignores this mirror mismatch
+    symmetric = skew <= 1e-9 * scale
     if odd and not symmetric:
         raise ValueError("the odd sector needs a reflection-symmetric potential")
 
@@ -219,14 +228,18 @@ def ground_state(
     d, e = diag[start:], np.full(n - 1 - start, off)
     if symmetric and not odd:
         e[0] *= math.sqrt(2.0)
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")  # range I, il = iu = 1
-    u, info = stein(d, e, w[:m], iblock, isplit) if info == 0 else (None, info)
-    if info:
-        raise LinAlgError(f"LAPACK stebz/stein failed (info={info})")
-    energy, u = float(w[0]), u[:, 0]
-    if float(np.sum(u)) < 0.0:
-        u = -u
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (d, e))
+    tol = NODA_TOL * (scale + inv)  # scale + inv is about ||H||
+    u, sigma, lo, steps = np.ones(d.size), float(np.min(v_samples)), math.inf, 0
+    while lo > 2.0 * tol:
+        df, ef, info = pttrf(d - sigma, e)
+        if info > 0 and steps:
+            break  # rounding has put sigma on E0: keep the last iterate
+        y, info = pttrs(df, ef, u) if info == 0 else (None, info)
+        if info or steps == NODA_MAX_STEPS:
+            raise LinAlgError(f"Noda iteration failed (pttrf/pttrs info={info}, {steps} steps)")
+        lo = float(np.min(u / y))  # Collatz-Wielandt: 0 < lo <= E0 - sigma
+        u, sigma, steps = y / math.sqrt(float(y @ y)), sigma + lo - tol, steps + 1
     if symmetric and odd:
         v = np.concatenate((-u[::-1], [0.0], u))
     elif symmetric:
@@ -244,9 +257,12 @@ def ground_state(
     hv = diag * v
     hv[:-1] += off * v[1:]
     hv[1:] += off * v[:-1]
+    energy = float(v @ hv) * dx  # the Rayleigh quotient
     resid = math.sqrt(float(np.sum((hv - energy * v) ** 2)) * dx)
+    if resid > tol + (skew if symmetric else 0.0):
+        raise LinAlgError(f"Noda iteration stopped at residual {resid:.3g}")
     return DiscretizedWavefunction(
-        xs=xs, values=v, energy=energy, iterations=1, residual=resid
+        xs=xs, values=v, energy=energy, iterations=steps, residual=resid
     )
 
 

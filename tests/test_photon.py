@@ -129,6 +129,12 @@ class TestZeroAmplitude:
             photon.qts_pnd_closed_form(2.0, 5.0, nmax)
 
 
+    @pytest.mark.parametrize("nmax", [140.5, math.nan])
+    def test_non_integer_pnd_truncation_rejected(self, nmax):
+        with pytest.raises(ValueError, match="nmax must be an integer of at least 135"):
+            photon.qts_pnd(states.preset("Y1"), nmax)
+
+
 class TestInterPoissonian:
     def test_unknown_parity_rejected(self):
         with pytest.raises(ValueError, match="parity"):

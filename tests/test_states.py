@@ -219,6 +219,18 @@ class TestFockAmplitudes:
         with pytest.raises(ValueError, match="truncation too small"):
             states.fock_amplitudes(spec, 130)
 
+    @pytest.mark.parametrize("nmax", [140.5, 141.0, math.nan, "141"])
+    def test_non_integer_nmax_rejected(self, nmax):
+        # refused with the bound, not failed inside NumPy
+        with pytest.raises(ValueError, match="nmax must be an integer of at least 135"):
+            states.fock_amplitudes(states.preset("Y1"), nmax)
+
+    def test_numpy_integer_nmax_accepted(self):
+        spec = states.preset("Y1")
+        got = states.fock_amplitudes(spec, np.int64(141))
+        assert got.nmax == 141 and isinstance(got.nmax, int)
+        assert np.array_equal(got.amplitudes, states.fock_amplitudes(spec, 141).amplitudes)
+
     @pytest.mark.parametrize("h", [1e-4, 1e-3])
     def test_cancelling_second_difference_refused(self, h):
         # |-h> - 2|0> + |h> has N ~ 3 h^4 from O(h^2) terms

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
 from multicat import states, wellsolver as ws
@@ -180,16 +180,54 @@ class TestGroundState:
                 ws.ground_state(w, cfg, odd=odd)
 
     def test_lapack_failure_raises(self, monkeypatch):
+        # pttrf refusing the first shift, min V, or pttrs failing at all
         real = ws.get_lapack_funcs
-
-        def failing(names, arrays):
-            stebz, stein = real(names, arrays)
-            return stebz, lambda *args: (stein(*args)[0], 1)
-
-        monkeypatch.setattr(ws, "get_lapack_funcs", failing)
         cfg, xs, v = harmonic_problem(points=301)
-        with pytest.raises(LinAlgError, match="info=1"):
+        for which in ("pttrf", "pttrs"):
+            def failing(names, arrays, which=which):
+                funcs = dict(zip(names, real(names, arrays)))
+                fail = funcs[which]
+                funcs[which] = lambda *args: (*fail(*args)[:-1], 1)
+                return tuple(funcs.values())
+
+            monkeypatch.setattr(ws, "get_lapack_funcs", failing)
+            with pytest.raises(LinAlgError, match="info=1"):
+                ws.ground_state(v, cfg)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ws, "NODA_MAX_STEPS", 2)
+        cfg, xs, v = harmonic_problem(points=301)
+        with pytest.raises(LinAlgError, match="2 steps"):
             ws.ground_state(v, cfg)
+
+    @pytest.mark.parametrize("refused", [5, 6])
+    def test_refused_shift_keeps_the_last_iterate(self, refused, monkeypatch):
+        # this problem takes 6 steps; pttrf refusing the 6th shift keeps the
+        # 5-step iterate, already at round-off, while refusing the 5th keeps a
+        # 4-step iterate whose residual (2e-9) the check refuses
+        cfg, xs, v = harmonic_problem(points=301)
+        full = ws.ground_state(v, cfg)
+        assert full.iterations == 6
+        real, calls = ws.get_lapack_funcs, []
+
+        def refusing(names, arrays):
+            pttrf, pttrs = real(names, arrays)
+
+            def factor(*args):
+                calls.append(1)
+                out = pttrf(*args)
+                return (*out[:-1], 1) if len(calls) >= refused else out
+
+            return factor, pttrs
+
+        monkeypatch.setattr(ws, "get_lapack_funcs", refusing)
+        if refused == 5:
+            with pytest.raises(LinAlgError, match="residual"):
+                ws.ground_state(v, cfg)
+        else:
+            psi = ws.ground_state(v, cfg)
+            assert psi.iterations == 5 and psi.residual < 1e-12
+            assert psi.energy == pytest.approx(full.energy, abs=1e-12)
 
     def test_even_point_count_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +246,53 @@ class TestGroundState:
         # refused here, not later inside LAPACK
         with pytest.raises(ValueError, match="finite"):
             ws.SolverConfig(domain=domain)
+
+
+def random_wells(rng, kind):
+    """A seeded random multi-well potential of ``kind`` (even, odd or asymmetric
+    centres) on a grid wide enough for its ground state to decay."""
+    gamma = float(np.exp(rng.uniform(math.log(0.5), math.log(17.0))))
+    points = 2 * int(rng.integers(200, 4001)) + 1
+    wells = int(rng.integers(1, 9))
+    if kind == "asymmetric":
+        centers = np.cumsum(rng.uniform(1.0, 5.0, wells))
+        centers -= rng.uniform(centers[0], centers[-1] + 1e-9)
+        scales = rng.uniform(0.5, 1.5, wells)
+    else:
+        pos = np.cumsum(rng.uniform(1.0, 5.0, (wells + 1) // 2)) - 0.5
+        centers = np.concatenate((-pos[::-1], pos))
+        scales = rng.uniform(0.5, 1.5, pos.size)
+        scales = np.concatenate((scales[::-1], scales))
+    depth = ws.CURVATURE / gamma * rng.uniform(1.0, 3.0)
+    spec = ws.WellPotentialSpec(centers=tuple(centers), v0=depth, gamma=gamma,
+                                depth_scales=tuple(scales))
+    stretch = ws._probe_decay_rate(2.0) / ws._probe_decay_rate(gamma)
+    margin = 2.0 * ws.DOMAIN_MARGIN * max(1.0, stretch)
+    half = float(np.max(np.abs(centers))) + margin
+    cfg = ws.SolverConfig(domain=(-half, half), points=points)
+    return ws.potential(spec, cfg.xs()), cfg
+
+
+class TestNodaSweep:
+    @pytest.mark.parametrize("kind", ["even", "odd", "asymmetric"])
+    def test_random_wells_match_lapack_bisection(self, kind):
+        # 30 seeded potentials per kind, gamma 0.5-17, 401-8001 points, 1-8
+        # wells: the energy matches eigh_tridiagonal's bisection on the same
+        # (folded) matrix, and the solved half is strictly positive
+        rng = np.random.default_rng(["even", "odd", "asymmetric"].index(kind))
+        for _ in range(30):
+            v, cfg = random_wells(rng, kind)
+            psi = ws.ground_state(v, cfg, odd=kind == "odd")
+            n, inv = v.size, 1.0 / psi.dx**2
+            start = {"even": n // 2, "odd": n // 2 + 1, "asymmetric": 0}[kind]
+            e = np.full(n - 1 - start, -0.5 * inv)
+            if kind == "even":
+                e[0] *= math.sqrt(2.0)
+            want = eigh_tridiagonal(inv + v[start:], e, eigvals_only=True,
+                                    select="i", select_range=(0, 0))[0]
+            assert abs(psi.energy - want) <= 1e-11 * max(1.0, abs(want))
+            assert np.all(psi.values[start:] > 0.0)
+            assert 1 <= psi.iterations <= ws.NODA_MAX_STEPS
 
 
 class TestCalibration:
@@ -373,7 +458,7 @@ class TestSolveOnce:
         assert len(calls) == solves
 
     @pytest.mark.parametrize("name,inner_scale,fid", [
-        ("even-1-4-7", 0.8383918076099411, 0.9606667393008039),
+        ("even-1-4-7", 0.8383918076188958, 0.9606667393010546),
         ("odd-1-4-7", 1.0466670453883802, 0.9421004780750162),
     ])
     def test_three_groups_rescale_only_the_inner_pair(self, name, inner_scale, fid):
