@@ -1,11 +1,15 @@
 """Command-line front end emitting plot-ready CSV data.
 
-Subcommands: ``wigner``, ``marginals``, ``pnd``, ``envelope``, ``well``
-and ``all``.  Each run writes deterministic CSV files (12 significant
-digits, fixed orderings, no timestamps inside data files) plus a
-``manifest.txt`` listing the outputs and the parameters the command read;
-the manifest alone carries the wall-clock timestamp.  Exit codes: 0
-success, 2 usage errors, 1 runtime failures.
+``multicat COMMAND [flags]``: one parser reads the command and ten flags,
+and every command accepts every flag.  The table ``_STEPS`` declares what
+each command emits and which flags its manifest records when set: ``qrange``
+and ``prange`` for ``wigner`` and ``marginals``; ``nmax`` for ``pnd`` and
+``envelope``; ``gamma``, ``points`` and ``domain`` for ``well``; all six for
+``all``.  Each run writes deterministic CSV files (12 significant digits,
+fixed orderings, no timestamps inside data files) plus a ``manifest.txt``
+listing the outputs and those flags; the manifest alone carries the
+wall-clock timestamp.  Exit codes: 0 success, 2 usage errors, 1 runtime
+failures.
 """
 
 from __future__ import annotations
@@ -24,16 +28,8 @@ from . import marginals, photon, states, wellsolver, wigner
 
 __all__ = ["parse_args", "run", "main"]
 
-_COMMANDS = ("wigner", "marginals", "pnd", "envelope", "well", "all")
-
 #: Flags whose values may start with '-' (ranges and signed lists).
-_VALUE_FLAGS = {
-    "--qrange",
-    "--prange",
-    "--amps",
-    "--coeffs",
-    "--domain",
-}
+_VALUE_FLAGS = {"--qrange", "--prange", "--amps", "--coeffs", "--domain"}
 
 
 def _parse_bounds(text: str, fields: int) -> tuple:
@@ -84,26 +80,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="multicat",
         description="Phase-space and photon statistics of coherent-state superpositions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("command", choices=_STEPS, help="the analysis to run")
+    parser.add_argument("--preset", action="append", default=None,
+                        help=f"named state ({', '.join(states.PRESET_NAMES)})")
+    parser.add_argument("--amps", type=_parse_floats, default=None,
+                        help="comma-separated coherent amplitudes")
+    parser.add_argument("--coeffs", type=_parse_floats, default=None,
+                        help="comma-separated coefficients (defaults to ones)")
     parse_range = partial(_parse_bounds, fields=3)
-    parse_domain = partial(_parse_bounds, fields=2)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} analysis")
-        p.add_argument("--preset", action="append", default=None,
-                       help=f"named state ({', '.join(states.PRESET_NAMES)})")
-        p.add_argument("--amps", type=_parse_floats, default=None,
-                       help="comma-separated coherent amplitudes")
-        p.add_argument("--coeffs", type=_parse_floats, default=None,
-                       help="comma-separated coefficients (defaults to ones)")
-        p.add_argument("--qrange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
-        p.add_argument("--prange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--out", type=Path, default=".", help="output directory")
-        p.add_argument("--points", type=int, default=wellsolver.DEFAULT_POINTS,
-                       help="solver grid points")
-        p.add_argument("--domain", type=parse_domain, default=None, metavar="MIN:MAX")
-        p.add_argument("--gamma", type=float, default=wellsolver.DEFAULT_GAMMA,
-                       help="well shape parameter")
+    parser.add_argument("--qrange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
+    parser.add_argument("--prange", type=parse_range, default=None, metavar="MIN:MAX:COUNT")
+    parser.add_argument("--nmax", type=int, default=None)
+    parser.add_argument("--out", type=Path, default=".", help="output directory")
+    parser.add_argument("--points", type=int, default=wellsolver.DEFAULT_POINTS,
+                        help="solver grid points")
+    parser.add_argument("--domain", type=partial(_parse_bounds, fields=2), default=None,
+                        metavar="MIN:MAX")
+    parser.add_argument("--gamma", type=float, default=wellsolver.DEFAULT_GAMMA,
+                        help="well shape parameter")
     return parser
 
 
@@ -273,47 +267,45 @@ def _emit_well(cfg: argparse.Namespace, include_curves: bool = True) -> List[_Ou
     return outputs
 
 
+#: Each command's emitters, in order, and the flags it reads, in the order
+#: its manifest records them; ``all`` runs every other command's emitters.
+_STEPS = {
+    "wigner": ((_emit_wigner,), ("qrange", "prange")),
+    "marginals": ((_emit_marginals,), ("qrange", "prange")),
+    "pnd": ((_emit_pnd,), ("nmax",)),
+    "envelope": ((_emit_envelope,), ("nmax",)),
+    "well": ((_emit_well,), ("gamma", "points", "domain")),
+    "all": ((_emit_wigner, _emit_marginals, _emit_pnd, _emit_envelope,
+             partial(_emit_well, include_curves=False)),
+            ("qrange", "prange", "nmax", "gamma", "points", "domain")),
+}
+
+
+def _flag_text(value) -> str:
+    """A flag's value as its manifest line records it: a tuple's parts joined by ':'."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return ":".join(_fmt(v) if isinstance(v, float) else str(v) for v in parts)
+
+
 def run(cfg: argparse.Namespace) -> List[Path]:
     """Execute a parsed configuration; returns the emitted data files.
 
     Every step computes before any file is written, so a step that fails
     leaves no data file of this run behind without a manifest.
     """
+    emitters, reads = _STEPS[cfg.command]
     cfg.out.mkdir(parents=True, exist_ok=True)
-    outputs: List[_Output] = []
-    if cfg.command in ("wigner", "all"):
-        outputs += _emit_wigner(cfg)
-    if cfg.command in ("marginals", "all"):
-        outputs += _emit_marginals(cfg)
-    if cfg.command in ("pnd", "all"):
-        outputs += _emit_pnd(cfg)
-    if cfg.command in ("envelope", "all"):
-        outputs += _emit_envelope(cfg)
-    if cfg.command == "well":
-        outputs += _emit_well(cfg, include_curves=True)
-    elif cfg.command == "all":
-        outputs += _emit_well(cfg, include_curves=False)
+    outputs = [output for emit in emitters for output in emit(cfg)]
     for _, write in outputs:
         write()
 
-    manifest = cfg.out / "manifest.txt"
-    with manifest.open("w", newline="\n") as fh:
-        fh.write(f"command={cfg.command}\n")
-        label = cfg.spec.label or "custom"
-        fh.write(f"spec={label}\n")
+    with (cfg.out / "manifest.txt").open("w", newline="\n") as fh:
+        fh.write(f"command={cfg.command}\nspec={cfg.spec.label or 'custom'}\n")
         fh.write(f"terms={';'.join(f'{_fmt(m)}:{_fmt(c)}' for m, c in cfg.spec.terms)}\n")
         # only what this command read, so the manifest repeats the run
-        if cfg.command in ("wigner", "marginals", "all"):
-            for key in ("qrange", "prange"):
-                if getattr(cfg, key):
-                    lo, hi, n = getattr(cfg, key)
-                    fh.write(f"{key}={_fmt(lo)}:{_fmt(hi)}:{n}\n")
-        if cfg.nmax is not None and cfg.command in ("pnd", "envelope", "all"):
-            fh.write(f"nmax={cfg.nmax}\n")
-        if cfg.command in ("well", "all"):
-            fh.write(f"gamma={_fmt(cfg.gamma)}\npoints={cfg.points}\n")
-            if cfg.domain:
-                fh.write(f"domain={_fmt(cfg.domain[0])}:{_fmt(cfg.domain[1])}\n")
+        for key in reads:
+            if getattr(cfg, key) is not None:
+                fh.write(f"{key}={_flag_text(getattr(cfg, key))}\n")
         fh.write(f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
         for path, _ in outputs:
             fh.write(f"output={path.name}\n")

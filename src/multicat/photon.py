@@ -190,7 +190,7 @@ def pair_envelope(spec: SuperpositionSpec, n, include_interference: bool = True)
     parity = spec.parity
     if parity == "none":
         raise ValueError("pair envelope needs an even or odd spec (terms mirrored under mu -> -mu)")
-    mags, coeffs = zip(*((m, c if m else 0.5 * c) for m, c in spec.terms if m >= 0.0))
+    mags, coeffs = zip(*((m, c) for m, c in spec.terms if m >= 0.0))
     pairs = _PairSum(mags, coeffs, parity)
     weights = pairs.envelope_weights(include_interference)
     return _like(ns, pairs.value(ns, weights)), _like(ns, pairs.slope(ns, weights))

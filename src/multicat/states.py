@@ -181,10 +181,14 @@ def position_wavefunction(spec: SuperpositionSpec, q) -> np.ndarray | float:
 def min_fock_truncation(spec: SuperpositionSpec) -> int:
     """Smallest admissible nmax, max(64, ceil(mu^2 + 10 mu + 16)) at mu = mu_max.
 
-    Keeps the Poisson tail mass of every component below 1e-12.
+    Keeps the Poisson tail mass of every component below 1e-12.  An amplitude
+    too large for the rule to be finite raises ValueError.
     """
     m = spec.max_amplitude
-    return max(64, int(math.ceil(m * m + 10.0 * m + 16.0)))
+    rule = m * m + 10.0 * m + 16.0
+    if not math.isfinite(rule):
+        raise ValueError(f"amplitude {m!r} too large: its truncation rule overflows")
+    return max(64, math.ceil(rule))
 
 
 def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:

@@ -115,6 +115,16 @@ class TestParsing:
             parse(["pnd", "--amps", "1,2", "--coeffs", "1"])
         assert err.value.code == 2
 
+    def test_unknown_command_exit_2(self):
+        with pytest.raises(SystemExit) as err:
+            parse(["histogram", "--preset", "Y1"])
+        assert err.value.code == 2
+
+    def test_flags_before_the_command_parse_the_same(self, tmp_path):
+        flags = ["--amps", "2,-2", "--qrange", "-8:8:41", "--nmax", "70", "--domain", "-9:9",
+                 "--out", str(tmp_path)]
+        assert vars(parse([*flags, "well"])) == vars(parse(["well", *flags]))
+
 
 class TestRuns:
     def test_pnd_emits_csv(self, tmp_path):
@@ -161,6 +171,14 @@ class TestRuns:
         rc = cli.main(["pnd", "--preset", "Y1", "--nmax", "130", "--out", str(tmp_path)])
         assert rc == 1
         assert "truncation too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pnd", "envelope"])
+    def test_huge_amplitude_is_runtime_error(self, tmp_path, capsys, command):
+        # the truncation rule overflows at |mu| = 1e200; the error names the amplitude
+        rc = cli.main([command, "--amps", "1e200,-1e200", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: amplitude 1e+200 too large")
 
     def test_failing_step_leaves_no_data_file(self, tmp_path, capsys):
         # the envelope step refuses a target without parity, after three steps computed
@@ -337,6 +355,33 @@ class TestEnvelopeTargets:
         rc = cli.main(["envelope", "--amps", "4,7", "--out", str(tmp_path)])
         assert rc == 1
         assert "even or odd" in capsys.readouterr().err
+
+
+class TestStepTable:
+    FLAGS = ["--preset", "Y3", "--qrange", "-11:11:221", "--prange", "-8:8:81",
+             "--nmax", "140", "--points", "2001"]
+    PARTS = {
+        "wigner": ["wigner_field.csv"],
+        "marginals": ["marginal_position.csv", "marginal_momentum.csv"],
+        "pnd": ["pnd.csv"],
+        "envelope": ["envelope.csv"],
+        "well": ["well_report.txt"],
+    }
+
+    def test_all_is_the_other_commands(self, tmp_path):
+        # all writes each command's files byte for byte, and well's report without its curves
+        assert cli.main(["all", *self.FLAGS, "--out", str(tmp_path / "all")]) == 0
+        for command, names in self.PARTS.items():
+            out = tmp_path / command
+            assert cli.main([command, *self.FLAGS, "--out", str(out)]) == 0
+            for name in names:
+                assert (tmp_path / "all" / name).read_bytes() == (out / name).read_bytes(), name
+        listed = [line.split("=", 1)[1]
+                  for line in (tmp_path / "all" / "manifest.txt").read_text().splitlines()
+                  if line.startswith("output=")]
+        assert listed == [name for names in self.PARTS.values() for name in names]
+        assert sorted(p.name for p in (tmp_path / "all").iterdir()) == sorted(
+            listed + ["manifest.txt"])
 
 
 class TestDeterminism:

@@ -385,9 +385,17 @@ class TestPairSum:
             photon.pair_envelope(spec, 3.0)
 
     def test_zero_amplitude_rejected(self):
-        spec = states.SuperpositionSpec(terms=((0.0, 1.0), (2.0, 1.0), (-2.0, 1.0)))
-        with pytest.raises(ValueError, match="strictly positive"):
-            photon.pair_envelope(spec, 3.0)
+        # a term at mu = 0 is half a pair, even with a zero weight in an odd spec
+        specs = [
+            states.SuperpositionSpec(terms=((0.0, 1.0), (2.0, 1.0), (-2.0, 1.0))),
+            states.SuperpositionSpec(terms=((0.0, 1.0), (0.0, 1.0), (2.0, 1.0), (-2.0, 1.0))),
+            states.preset("vacuum"),
+            states.SuperpositionSpec(terms=((0.0, 0.0), (2.0, 1.0), (-2.0, -1.0))),
+        ]
+        assert [spec.parity for spec in specs] == ["even", "even", "even", "odd"]
+        for spec in specs:
+            with pytest.raises(ValueError, match="strictly positive"):
+                photon.pair_envelope(spec, 3.0)
 
 
 class TestDigamma:

@@ -7,6 +7,7 @@ can be regenerated.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -218,6 +219,14 @@ class TestFockAmplitudes:
         assert states.min_fock_truncation(spec) == 135
         with pytest.raises(ValueError, match="truncation too small"):
             states.fock_amplitudes(spec, 130)
+
+    @pytest.mark.parametrize("a", [1.4e154, 1e200, -1.7e308])
+    def test_amplitude_too_large_for_the_rule_rejected(self, a):
+        # mu^2 overflows past |mu| ~ 1.3e154: refused by name, not an OverflowError
+        spec = states.SuperpositionSpec(terms=((a, 1.0), (-a, 1.0)))
+        with pytest.raises(ValueError, match=re.escape(f"amplitude {abs(a)!r} too large")):
+            states.min_fock_truncation(spec)
+        assert states.min_fock_truncation(states.preset("even-cat(1.3e154)")) > 1.6e308
 
     @pytest.mark.parametrize("nmax", [140.5, 141.0, math.nan, "141"])
     def test_non_integer_nmax_rejected(self, nmax):
