@@ -7,9 +7,11 @@ recovers such states as ground states of multi-Gaussian-well potentials.
 """
 
 from .states import (
+    MAX_FOCK_ROWS,
     PRESET_NAMES,
     FockExpansion,
     SuperpositionSpec,
+    check_fock_rows,
     fock_amplitudes,
     min_fock_truncation,
     normalization,

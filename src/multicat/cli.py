@@ -143,44 +143,102 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return ns
 
 
-#: printf format of every number in the data files.  ``%`` formatting and
-#: ``format(x, ".12g")`` print a double through the same C routine.
+#: printf format of every number in the data files; ``_cells`` reproduces C's output byte for byte.
 _CELL = "%.12g"
 
-#: Lines of a 1-D file formatted per write, so the text held stays bounded.
+#: Lines of a file formatted per write, so the text held stays bounded.
 _BLOCK_LINES = 4096
+
+#: For each decimal exponent e in [-_E, _E]: the correctly rounded 10**(11 - e);
+#: the 5 prefix and 5 suffix slots of ``_cells`` ("0." and -e - 1 zeros for
+#: -4 <= e < 0, "e+dd[d]" outside -4 <= e < 12); the digit the point follows.
+_E = 295
+_SCALE = np.array([float(f"1e{11 - e}") for e in range(-_E, _E + 1)])
+_AFFIX = np.array([(b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
+                   + (b"" if -4 <= e < 12 else b"e%+03d" % e) for e in range(-_E, _E + 1)])
+_AFFIX = _AFFIX.view(np.uint8).reshape(-1, 10).T.copy()
+_LEAD = np.array([-1 if -4 <= e < 0 else e if 0 <= e < 12 else 0 for e in range(-_E, _E + 1)])
+
+#: A scaled |x| this near a rounding tie goes to C: 4x the 2.3e-4 its two roundings may err by.
+_TIE = 1e-3
 
 
 def _fmt(x: float) -> str:
     return _CELL % float(x)
 
 
-def _write_csv(path: Path, header: str, *columns) -> None:
-    """Stream numeric columns as CSV lines; each write is one ``_CELL`` template filled in C.
+def _cells(x: np.ndarray) -> np.ndarray:
+    """``_CELL`` of each value of 1-D float64 ``x``: 35 uint8 slot rows, 0 where unused.
 
-    1-D columns go a block of lines per write.  Two axes and a 2-D last
-    column (the Wigner grid) give one line per axis pair: the second axis is
-    formatted once into a row template, and each first-axis row heads it.
-    Templates are bytes, so no line is encoded or copied again on its way out.
+    Slots: a sign, "0." and up to 3 zeros, 12 digits each with a point slot after it, and
+    "e", a sign and 2 or 3 digits.  ``_fmt`` formats ties, non-finite and extreme values.
+    """
+    fast = (np.abs(x) >= 1e-290) & (np.abs(x) <= 1e290)
+    a = np.where(fast, np.abs(x), 1.0)  # a zero too gets e = 0
+    e = np.floor(np.log10(a)).astype(np.intp) + _E
+    y = a * _SCALE[e]
+    m = np.rint(y)
+    fast = fast & (np.abs(y - m) < 0.5 - _TIE) & (m >= 1e11) & (m <= 1e12) | (x == 0)
+    carry = m == 1e12  # rounding (or log10 just below a power of ten) reached the next decade
+    e += carry
+    m = np.where(carry, 1e11, m) * (x != 0)
+    v = np.array(np.divmod(m.astype(np.uint64), 10**6), np.uint32)  # six digits each
+    digits = np.zeros((13, x.size), np.uint8)  # row 12 stays 0: no digit after the last
+    for j in range(5, -1, -1):
+        v, d = v // 10, v
+        digits[j::6][:2] = d - v * 10
+    shown = digits != 0
+    for i in range(11, -1, -1):
+        shown[i] |= shown[i + 1]
+    rows, lead = np.arange(13)[:, None], _LEAD[e]
+    shown |= rows <= lead  # trailing zeros go, integer digits stay
+    cell = np.empty((35, x.size), np.uint8)
+    cell[0] = np.signbit(x) * np.uint8(ord("-"))
+    np.take(_AFFIX[:5], e, axis=1, out=cell[1:6])
+    np.take(_AFFIX[5:], e, axis=1, out=cell[30:])
+    cell[6:30:2] = (digits[:12] + np.uint8(ord("0"))) * shown[:12]
+    cell[7:30:2] = ((rows[:12] == lead) & shown[1:]) * np.uint8(ord("."))
+    j = np.flatnonzero(~fast)  # left to C
+    cell[:, j] = np.array([_fmt(t).encode() for t in x[j]], "S35").view(np.uint8).reshape(-1, 35).T
+    return cell
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Stream numeric columns as CSV lines, each number as ``_CELL`` prints it.
+
+    A block of ``_BLOCK_LINES`` lines is a uint8 array, a row per line: ``_cells``
+    fills each column's slots between fixed separators; ``bytes.translate`` drops
+    the 0 slots.  Two axes and a 2-D last column (the Wigner grid) give blocks of
+    whole q rows, each line led by "q,p," text formatted once per axis value.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
-    cell = _CELL.encode()
-    with path.open("wb") as fh:
-        fh.write(f"{header}\n".encode())
-        if cols[-1].ndim == 1:
-            if len({c.size for c in cols}) > 1:
-                raise ValueError(f"columns differ in length: {[c.size for c in cols]}")
-            line = b",".join([cell] * len(cols)) + b"\n"
-            for i in range(0, cols[0].size, _BLOCK_LINES):
-                block = np.column_stack([c[i : i + _BLOCK_LINES] for c in cols])
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
-            return
+    step, axes = _BLOCK_LINES, []
+    if cols[-1].ndim == 2:
         qs, ps, values = cols
         if values.shape != (qs.size, ps.size):
             raise ValueError(f"grid of shape {values.shape} for {qs.size} x {ps.size} axes")
-        row_template = b"".join(b"\0" + cell % p + b"," + cell + b"\n" for p in ps.tolist())
-        for q, row in zip(qs.tolist(), values):
-            fh.write(row_template.replace(b"\0", cell % q + b",") % tuple(row.tolist()))
+        axes = [np.array([c.tobytes().translate(None, b"\0") + b"," for c in _cells(a).T])
+                .view(np.uint8).reshape(a.size, -1) for a in (qs, ps)]
+        step, cols = max(1, step // ps.size) * ps.size, [values.ravel()]
+    elif len({c.size for c in cols}) > 1:
+        raise ValueError(f"columns differ in length: {[c.size for c in cols]}")
+    head = sum(a.shape[1] for a in axes)
+    lines, width = cols[0].size, head + 36 * len(cols)
+    buf = np.frombuffer(raw := bytearray(min(lines, step) * width), np.uint8).reshape(-1, width)
+    slots = buf[:, head:].reshape(len(buf), len(cols), 36)
+    slots[:, :, 35] = [ord(",")] * (len(cols) - 1) + [ord("\n")]
+    if axes:  # each block's lines are (q row, p) pairs: the p texts stay, the q texts change
+        buf[:, :head].reshape(-1, ps.size, head)[:, :, axes[0].shape[1] :] = axes[1]
+        qtext = buf[:, : axes[0].shape[1]].reshape(-1, ps.size, axes[0].shape[1])
+    with path.open("wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for i in range(0, lines, step):
+            n = min(step, lines - i)
+            if axes:
+                qtext[: n // ps.size] = axes[0][i // ps.size : (i + n) // ps.size, None]
+            for j, c in enumerate(cols):
+                slots[:n, j, :35] = _cells(c[i : i + n]).T
+            fh.write((raw if n == len(buf) else raw[: buf[:n].size]).translate(None, b"\0"))
 
 
 def _grid_for(cfg: argparse.Namespace) -> wigner.PhaseSpaceGrid:
@@ -226,7 +284,9 @@ def _emit_pnd(cfg: argparse.Namespace) -> List[_Output]:
 
 
 def _emit_envelope(cfg: argparse.Namespace) -> List[_Output]:
-    ns = np.arange(0.0, _effective_nmax(cfg) + 0.25, 0.25)
+    nmax = _effective_nmax(cfg)
+    states.check_fock_rows(cfg.spec, nmax, 4 * nmax + 1)  # the 0.25-step grid of n
+    ns = np.arange(0.0, nmax + 0.25, 0.25)
     flags = (False, True)
     values, slopes = zip(*(photon.pair_envelope(cfg.spec, ns, flag) for flag in flags))
     return [_csv(cfg.out / "envelope.csv", "n,value,derivative,with_interference",

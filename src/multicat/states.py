@@ -34,6 +34,8 @@ __all__ = [
     "position_wavefunction",
     "fock_amplitudes",
     "min_fock_truncation",
+    "check_fock_rows",
+    "MAX_FOCK_ROWS",
     "preset",
     "PRESET_NAMES",
 ]
@@ -43,6 +45,11 @@ _AMP_NORM = (2.0 / math.pi) ** 0.25
 
 #: Fraction of the squared norm allowed beyond the Fock truncation.
 TRUNCATION_TOLERANCE = 1e-12
+
+#: Most rows a Fock truncation (nmax + 1) or a photon-number grid may hold.  A
+#: float64 array of 2**24 rows is 128 MiB; ``fock_amplitudes`` peaks near six
+#: of them (768 MiB) and the CLI's envelope sums near eight.
+MAX_FOCK_ROWS = 2**24
 
 #: Largest term mismatch against the mirrored term list that still counts as parity.
 PARITY_TOLERANCE = 1e-12
@@ -191,15 +198,24 @@ def min_fock_truncation(spec: SuperpositionSpec) -> int:
     return max(64, math.ceil(rule))
 
 
+def check_fock_rows(spec: SuperpositionSpec, nmax: int, rows: int) -> None:
+    """Refuse, before anything is allocated, ``rows`` above ``MAX_FOCK_ROWS`` for this nmax."""
+    if rows > MAX_FOCK_ROWS:
+        raise ValueError(
+            f"amplitude {spec.max_amplitude!r} with nmax={nmax} needs more than"
+            f" {MAX_FOCK_ROWS} (2**24) rows"
+        )
+
+
 def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
     """Fock-basis amplitudes a_n = N^(-1/2) sum_j c_j e^(-mu_j^2/2) mu_j^n / sqrt(n!).
 
     Each term is summed from log space, -mu^2/2 + n log|mu| - log(n!)/2 with
     0 log 0 = 0, so large photon numbers do not overflow and mu = 0 gives
     the vacuum.  An ``nmax`` that is not an integer (NumPy integers are) or
-    lies below the truncation rule raises ValueError, and so does a sum that
-    cancels so far that the captured mass misses one by more than
-    ``TRUNCATION_TOLERANCE``.
+    lies below the truncation rule raises ValueError, and so do more than
+    ``MAX_FOCK_ROWS`` rows and a sum that cancels so far that the captured
+    mass misses one by more than ``TRUNCATION_TOLERANCE``.
     """
     floor = min_fock_truncation(spec)
     if not isinstance(nmax, (int, np.integer)):
@@ -208,6 +224,7 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
         raise ValueError(
             f"truncation too small: nmax={nmax} below tail rule minimum {floor}"
         )
+    check_fock_rows(spec, nmax, nmax + 1)
     ns = np.arange(nmax + 1)
     log_fact_half = 0.5 * gammaln(ns + 1.0)
     total = np.zeros(nmax + 1)

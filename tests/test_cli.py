@@ -1,9 +1,12 @@
 """Command-line interface: parsing, file emission, determinism, round-trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicat import cli, marginals, photon, states, wellsolver, wigner
 
@@ -179,6 +182,23 @@ class TestRuns:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: amplitude 1e+200 too large")
+
+    @pytest.mark.parametrize("command", ["pnd", "envelope"])
+    @pytest.mark.parametrize("argv", [["--amps", "1e4,-1e4"], ["--amps", "1e100,-1e100"],
+                                      ["--preset", "Y1", "--nmax", "1000000000"]])
+    def test_too_many_fock_rows_is_runtime_error(self, tmp_path, capsys, command, argv):
+        # over 2**24 Fock rows (or 0.25-step envelope rows): refused before allocating them
+        tracemalloc.start()
+        try:
+            rc = cli.main([command, *argv, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: amplitude (10000\.0|1e\+100|7\.0) with nmax=\d+ needs more than"
+                        r" 16777216 \(2\*\*24\) rows$", err), err
+        assert peak < 2**20
 
     def test_failing_step_leaves_no_data_file(self, tmp_path, capsys):
         # the envelope step refuses a target without parity, after three steps computed
@@ -449,6 +469,34 @@ class TestByteFormat:
             "x,psi", psi.xs, psi.values
         )
 
+    @pytest.mark.parametrize("argv, grid", [
+        (["--preset", "Y1"], None),
+        # mostly exact zeros and values underflowed below 1e-290
+        (["--preset", "Y3", "--qrange", "-60:60:1201", "--prange", "-30:30:301"],
+         (-60.0, 60.0, -30.0, 30.0, 1201, 301)),
+    ], ids=["Y1-default", "Y3-wide"])
+    def test_wigner_file_matches_library_field(self, tmp_path, argv, grid):
+        assert cli.main(["wigner", *argv, "--out", str(tmp_path)]) == 0
+        spec = states.preset(argv[1])
+        grid = wigner.default_grid(spec) if grid is None else wigner.PhaseSpaceGrid(*grid)
+        qs, ps = grid.qs(), grid.ps()
+        field = wigner.wigner_closed_form(spec, grid).values
+        assert (tmp_path / "wigner_field.csv").read_text() == csv_text(
+            "q,p,w", np.repeat(qs, ps.size), np.tile(ps, qs.size), field.ravel()
+        )
+
+    def test_c_formats_only_near_ties_of_the_default_y1_field(self, tmp_path, monkeypatch):
+        # no zero and no non-finite cell reaches C; the 1e-3 tie margin sends about 0.2%
+        spec = states.preset("Y1")
+        grid = wigner.default_grid(spec)
+        field = wigner.wigner_closed_form(spec, grid).values
+        sent, fmt = [], cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: sent.append(float(x)) or fmt(x))
+        cli._write_csv(tmp_path / "w.csv", "q,p,w", grid.qs(), grid.ps(), field)
+        sent = np.array(sent)
+        assert np.all(np.isfinite(sent)) and np.all(sent != 0.0)
+        assert 0 < sent.size < 0.004 * field.size
+
     def test_edge_values_in_columns(self, tmp_path):
         path = tmp_path / "edge.csv"
         cli._write_csv(path, "x,y", self.EDGE, self.EDGE[::-1])
@@ -487,6 +535,83 @@ class TestByteFormat:
         with pytest.raises(ValueError):
             cli._write_csv(tmp_path / "bad.csv", "q,p,w", [0.0, 1.0, 2.0], [0.0, 1.0],
                            np.zeros(shape))
+
+
+def percent_text(header, *columns):
+    """The expected file with every value formatted by C's ``%`` (the formatter's oracle)."""
+    lines = [header] + [",".join("%.12g" % x for x in row) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines)
+
+
+def adversarial_values():
+    """Values where %.12g is easy to get wrong, each with both signs and 1-ulp neighbours."""
+    rng = np.random.default_rng(28)
+    # 13-digit decimals ending in 5: the 12-digit rounding ties of the decimal, which
+    # the nearest double misses by less than an ulp either way
+    ties = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10**11, 10**12, 2000),
+                                               rng.integers(-335, 296, 2000))]
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    # notation boundaries 1e-4, 1 and 1e12, below and above the 12-digit rounding
+    boundaries = [1e-4, 9.99999999999e-5, 9.999999999995e-5, 9.9999999999949e-5,
+                  1.0, 0.999999999999, 0.9999999999995, 0.99999999999949,
+                  1e12, 999999999999.0, 999999999999.5, 999999999999.4]
+    wide = [1.5e100, 2.5e-100, 1e-290, 1e290, 9.9999999999995e-291, 2.2250738585072014e-308,
+            1.7976931348623157e308, 5e-324, 1.23456789e-315, 0.0]
+    specials = [np.inf, np.nan]
+    xs = np.array(ties + powers + boundaries + wide + specials)
+    with np.errstate(over="ignore"):  # the neighbour of the largest double is inf
+        xs = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
+    return np.concatenate([xs, -xs])
+
+
+ADVERSARIAL = adversarial_values()
+FLOAT_BITS = st.integers(0, 2**64 - 1)
+
+
+def floats_from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestFormatterAgainstC:
+    """``_write_csv`` gives the bytes of C's ``%.12g`` for any float64."""
+
+    def test_adversarial_values_in_columns(self, tmp_path):
+        xs, path = ADVERSARIAL, tmp_path / "x.csv"
+        assert xs.size > 2 * cli._BLOCK_LINES  # a few blocks, the last one partial
+        cli._write_csv(path, "x,y", xs, xs[::-1])
+        assert path.read_text() == percent_text("x,y", xs, xs[::-1])
+
+    @pytest.mark.parametrize("nps", [3, 1000, cli._BLOCK_LINES + 1])
+    def test_adversarial_values_on_a_grid(self, tmp_path, nps):
+        # 1000 p points give 4000-line blocks; 4097 give one q row per block
+        nq = 7
+        qs, ps, values = ADVERSARIAL[-nq:], ADVERSARIAL[:nps], ADVERSARIAL[: nq * nps]
+        values = np.resize(values, (nq, nps))
+        path = tmp_path / "grid.csv"
+        cli._write_csv(path, "q,p,w", qs, ps, values)
+        assert path.read_text() == percent_text(
+            "q,p,w", np.repeat(qs, nps), np.tile(ps, nq), values.ravel()
+        )
+
+    @given(st.lists(FLOAT_BITS, min_size=1, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_bit_patterns_in_columns(self, tmp_path_factory, bits):
+        xs = floats_from_bits(bits)
+        path = tmp_path_factory.getbasetemp() / "bits.csv"
+        cli._write_csv(path, "x,y", xs, xs[::-1])
+        assert path.read_text() == percent_text("x,y", xs, xs[::-1])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_bit_patterns_on_a_grid(self, tmp_path_factory, data):
+        nq, nps = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+        qs, ps, values = (floats_from_bits(data.draw(st.lists(FLOAT_BITS, min_size=n, max_size=n)))
+                          for n in (nq, nps, nq * nps))
+        path = tmp_path_factory.getbasetemp() / "grid.csv"
+        cli._write_csv(path, "q,p,w", qs, ps, values.reshape(nq, nps))
+        assert path.read_text() == percent_text(
+            "q,p,w", np.repeat(qs, nps), np.tile(ps, nq), values
+        )
 
 
 class TestStreaming:

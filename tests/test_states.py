@@ -8,6 +8,7 @@ can be regenerated.
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -227,6 +228,26 @@ class TestFockAmplitudes:
         with pytest.raises(ValueError, match=re.escape(f"amplitude {abs(a)!r} too large")):
             states.min_fock_truncation(spec)
         assert states.min_fock_truncation(states.preset("even-cat(1.3e154)")) > 1.6e308
+
+    @pytest.mark.parametrize("a, nmax", [(1e4, None), (1e100, None), (7.0, 10**9)])
+    def test_too_many_rows_rejected_before_allocating(self, a, nmax):
+        # 1e4 asks for 100,100,017 rows, 1e100 for about 1e200: refused by name, nothing allocated
+        spec = states.SuperpositionSpec(terms=((a, 1.0), (-a, 1.0)))
+        nmax = states.min_fock_truncation(spec) if nmax is None else nmax
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"amplitude {a!r} with nmax={nmax} ")):
+                states.fock_amplitudes(spec, nmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_row_cap_is_inclusive(self):
+        spec = states.preset("Y1")
+        states.check_fock_rows(spec, states.MAX_FOCK_ROWS - 1, states.MAX_FOCK_ROWS)
+        with pytest.raises(ValueError, match="nmax=16777216 needs more than 16777216"):
+            states.check_fock_rows(spec, states.MAX_FOCK_ROWS, states.MAX_FOCK_ROWS + 1)
 
     @pytest.mark.parametrize("nmax", [140.5, 141.0, math.nan, "141"])
     def test_non_integer_nmax_rejected(self, nmax):
