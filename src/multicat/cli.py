@@ -2,11 +2,9 @@
 
 ``multicat COMMAND [flags]``: one parser reads the command and ten flags,
 and every command accepts every flag.  The table ``_STEPS`` declares what
-each command emits and which flags its manifest records when set: ``qrange``
-and ``prange`` for ``wigner`` and ``marginals``; ``nmax`` for ``pnd`` and
-``envelope``; ``gamma``, ``points`` and ``domain`` for ``well``; all six for
-``all``.  Each run writes deterministic CSV files (12 significant digits,
-fixed orderings, no timestamps inside data files) plus a ``manifest.txt``
+each command emits and which flags its manifest records when set.  Each
+run writes deterministic CSV files (12 significant digits, fixed
+orderings, no timestamps inside data files) plus a ``manifest.txt``
 listing the outputs and those flags; the manifest alone carries the
 wall-clock timestamp.  Exit codes: 0 success, 2 usage errors, 1 runtime
 failures.
@@ -284,9 +282,7 @@ def _emit_pnd(cfg: argparse.Namespace) -> List[_Output]:
 
 
 def _emit_envelope(cfg: argparse.Namespace) -> List[_Output]:
-    nmax = _effective_nmax(cfg)
-    states.check_fock_rows(cfg.spec, nmax, 4 * nmax + 1)  # the 0.25-step grid of n
-    ns = np.arange(0.0, nmax + 0.25, 0.25)
+    ns = states.photon_grid(cfg.spec.max_amplitude, _effective_nmax(cfg), 0.25)
     flags = (False, True)
     values, slopes = zip(*(photon.pair_envelope(cfg.spec, ns, flag) for flag in flags))
     return [_csv(cfg.out / "envelope.csv", "n,value,derivative,with_interference",

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
-from .states import SuperpositionSpec, fock_amplitudes, readonly
+from .states import SuperpositionSpec, fock_amplitudes, photon_grid, readonly
 
 __all__ = [
     "PhotonDistribution",
@@ -155,12 +155,13 @@ def qts_pnd_closed_form(alpha: float, beta: float, nmax: int, parity: str = "eve
 
     P(n) = [1 +- (-1)^n] (2/N) [T_aa + T_bb + 2 T_ab](n).  A zero amplitude
     gives the limit in which that pair sits on the vacuum.  An ``nmax``
-    that is not a nonnegative integer raises ValueError.
+    that is not a nonnegative integer, or past ``photon_grid``'s cap, raises
+    ValueError.
     """
     if not isinstance(nmax, (int, np.integer)) or nmax < 0:
         raise ValueError(f"nmax must be a nonnegative integer, got {nmax!r}")
     pairs = _PairSum((alpha, beta), parity=parity)
-    ns = np.arange(nmax + 1)
+    ns = photon_grid(max(alpha, beta), nmax)
     return _parity_factor(ns, parity) * pairs.value(ns, pairs.weights)
 
 
@@ -231,18 +232,16 @@ def envelope_extrema(alpha: float, beta: float, n_min: float, n_max: float,
     The derivative is evaluated on a unit-step grid; each sign change is
     refined with Brent's method and each exact zero on the grid is kept.
     The pairs and N are built once per call, not per step.  Bounds other
-    than finite 0 <= n_min <= n_max raise ValueError.
+    than finite 0 <= n_min <= n_max, or past ``photon_grid``'s cap, raise
+    ValueError.
     """
-    if not 0.0 <= n_min <= n_max < math.inf:
-        raise ValueError(f"envelope_extrema needs finite 0 <= n_min <= n_max,"
-                         f" got n_min={n_min}, n_max={n_max}")
+    grid = photon_grid(max(alpha, beta), n_max, 1.0, n_min)
     pairs = _PairSum((alpha, beta))
     weights = pairs.envelope_weights(include_interference)
 
     def deriv(x: float) -> float:
         return float(pairs.slope(x, weights))
 
-    grid = np.append(np.arange(n_min, n_max, 1.0), n_max)
     sign = np.sign(pairs.slope(grid, weights))
     roots = [brentq(deriv, grid[i], grid[i + 1], xtol=EXTREMA_XTOL)
              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]

@@ -34,7 +34,7 @@ __all__ = [
     "position_wavefunction",
     "fock_amplitudes",
     "min_fock_truncation",
-    "check_fock_rows",
+    "photon_grid",
     "MAX_FOCK_ROWS",
     "preset",
     "PRESET_NAMES",
@@ -46,9 +46,9 @@ _AMP_NORM = (2.0 / math.pi) ** 0.25
 #: Fraction of the squared norm allowed beyond the Fock truncation.
 TRUNCATION_TOLERANCE = 1e-12
 
-#: Most rows a Fock truncation (nmax + 1) or a photon-number grid may hold.  A
-#: float64 array of 2**24 rows is 128 MiB; ``fock_amplitudes`` peaks near six
-#: of them (768 MiB) and the CLI's envelope sums near eight.
+#: Most numbers a photon-number grid (``photon_grid``), and so a Fock truncation,
+#: may hold.  A float64 array of 2**24 rows is 128 MiB; ``fock_amplitudes`` peaks
+#: near six of them (768 MiB) and the CLI's envelope sums near eight.
 MAX_FOCK_ROWS = 2**24
 
 #: Largest term mismatch against the mirrored term list that still counts as parity.
@@ -92,7 +92,7 @@ class SuperpositionSpec:
 
     @property
     def max_amplitude(self) -> float:
-        return float(np.max(np.abs(self.amplitudes)))
+        return max(abs(m) for m, _ in self.terms)
 
     @property
     def parity(self) -> str:
@@ -198,13 +198,23 @@ def min_fock_truncation(spec: SuperpositionSpec) -> int:
     return max(64, math.ceil(rule))
 
 
-def check_fock_rows(spec: SuperpositionSpec, nmax: int, rows: int) -> None:
-    """Refuse, before anything is allocated, ``rows`` above ``MAX_FOCK_ROWS`` for this nmax."""
-    if rows > MAX_FOCK_ROWS:
+def photon_grid(amplitude: float, n_max: float, step: float = 1.0,
+                n_min: float = 0.0) -> np.ndarray:
+    """Photon numbers n_min, n_min + step, ... below n_max, then n_max, as floats.
+
+    Bounds other than finite 0 <= n_min <= n_max, and more than ``MAX_FOCK_ROWS``
+    numbers, raise ValueError before anything is allocated; ``amplitude`` names
+    the state in the message.
+    """
+    if not 0.0 <= n_min <= n_max < math.inf:
+        raise ValueError(f"photon-number grid needs finite 0 <= n_min <= n_max,"
+                         f" got n_min={n_min}, n_max={n_max}")
+    if n_max > n_min + (MAX_FOCK_ROWS - 1) * step:
         raise ValueError(
-            f"amplitude {spec.max_amplitude!r} with nmax={nmax} needs more than"
+            f"amplitude {amplitude!r} with nmax={n_max} needs more than"
             f" {MAX_FOCK_ROWS} (2**24) rows"
         )
+    return np.append(np.arange(n_min, n_max, step), n_max)
 
 
 def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
@@ -224,8 +234,7 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
         raise ValueError(
             f"truncation too small: nmax={nmax} below tail rule minimum {floor}"
         )
-    check_fock_rows(spec, nmax, nmax + 1)
-    ns = np.arange(nmax + 1)
+    ns = photon_grid(spec.max_amplitude, nmax)
     log_fact_half = 0.5 * gammaln(ns + 1.0)
     total = np.zeros(nmax + 1)
     for m, c in spec.terms:

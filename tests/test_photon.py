@@ -1,6 +1,8 @@
 """Photon statistics: Poisson limits, parity masks, interference, digamma."""
 
 import math
+import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -295,6 +297,23 @@ class TestEnvelopeDerivative:
         # refused here, not inside NumPy's arange or as an empty result
         with pytest.raises(ValueError, match="n_min <= n_max"):
             photon.envelope_extrema(2.0, 5.0, n_min, n_max)
+
+    @pytest.mark.parametrize("call, amplitude, nmax", [
+        (lambda: photon.qts_pnd_closed_form(1.0, 2.0, 10**12), 2.0, 10**12),
+        (lambda: photon.envelope_extrema(4.0, 7.0, 0.0, 1e12), 7.0, 1e12),
+        (lambda: photon.envelope_extrema(4.0, 7.0, 0.0, 1e300), 7.0, 1e300),
+    ], ids=["closed-form", "extrema-1e12", "extrema-1e300"])
+    def test_too_many_photon_numbers_rejected_before_allocating(self, call, amplitude, nmax):
+        # the grid's row cap, not a MemoryError or NumPy's "Maximum allowed size exceeded"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"amplitude {amplitude!r} with nmax={nmax} needs more than 16777216 (2**24) rows")):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def pair_spec(mags, coeffs, parity):

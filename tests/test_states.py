@@ -244,10 +244,24 @@ class TestFockAmplitudes:
         assert peak < 2**20
 
     def test_row_cap_is_inclusive(self):
-        spec = states.preset("Y1")
-        states.check_fock_rows(spec, states.MAX_FOCK_ROWS - 1, states.MAX_FOCK_ROWS)
+        # MAX_FOCK_ROWS numbers pass (a 128 MiB grid), one more is refused
+        assert states.photon_grid(7.0, states.MAX_FOCK_ROWS - 1).size == states.MAX_FOCK_ROWS
         with pytest.raises(ValueError, match="nmax=16777216 needs more than 16777216"):
-            states.check_fock_rows(spec, states.MAX_FOCK_ROWS, states.MAX_FOCK_ROWS + 1)
+            states.photon_grid(7.0, states.MAX_FOCK_ROWS)
+
+    @pytest.mark.parametrize("nmax", [0, 1, 64, 135, 1000])
+    def test_photon_grid_is_each_range_it_replaces(self, nmax):
+        # bit for bit: the Fock and closed-form n, the CLI's 0.25-step envelope n and
+        # envelope_extrema's unit grid from a non-integer n_min
+        cases = [
+            (states.photon_grid(7.0, nmax), np.arange(nmax + 1).astype(float)),
+            (states.photon_grid(7.0, nmax, 0.25), np.arange(0.0, nmax + 0.25, 0.25)),
+            (states.photon_grid(7.0, nmax + 0.7, 1.0, 0.3),
+             np.append(np.arange(0.3, nmax + 0.7, 1.0), nmax + 0.7)),
+        ]
+        for got, want in cases:
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nmax", [140.5, 141.0, math.nan, "141"])
     def test_non_integer_nmax_rejected(self, nmax):
