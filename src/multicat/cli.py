@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -147,15 +148,20 @@ _CELL = "%.12g"
 #: Lines of a file formatted per write, so the text held stays bounded.
 _BLOCK_LINES = 4096
 
-#: For each decimal exponent e in [-_E, _E]: the correctly rounded 10**(11 - e);
-#: the 5 prefix and 5 suffix slots of ``_cells`` ("0." and -e - 1 zeros for
-#: -4 <= e < 0, "e+dd[d]" outside -4 <= e < 12); the digit the point follows.
-_E = 295
-_SCALE = np.array([float(f"1e{11 - e}") for e in range(-_E, _E + 1)])
+#: Every decimal exponent e of a nonzero finite float64, and the exact power of two that
+#: lifts |x| when e < _LIFTED, where 10**(11 - e) overflows.
+_EXPONENTS = range(-324, 309)
+_LIFT, _LIFTED = 2.0**128, -297
+
+#: For each e: the correctly rounded 10**(11 - e), over _LIFT where |x| is lifted; the 5
+#: prefix and 5 suffix slots of ``_cells`` ("0." and -e - 1 zeros for -4 <= e < 0,
+#: "e+dd[d]" outside -4 <= e < 12); the digit the point follows.
+_SCALE = np.array([float(Fraction(10) ** (11 - e) / Fraction(_LIFT if e < _LIFTED else 1))
+                   for e in _EXPONENTS])
 _AFFIX = np.array([(b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
-                   + (b"" if -4 <= e < 12 else b"e%+03d" % e) for e in range(-_E, _E + 1)])
+                   + (b"" if -4 <= e < 12 else b"e%+03d" % e) for e in _EXPONENTS])
 _AFFIX = _AFFIX.view(np.uint8).reshape(-1, 10).T.copy()
-_LEAD = np.array([-1 if -4 <= e < 0 else e if 0 <= e < 12 else 0 for e in range(-_E, _E + 1)])
+_LEAD = np.array([-1 if -4 <= e < 0 else e if 0 <= e < 12 else 0 for e in _EXPONENTS])
 
 #: A scaled |x| this near a rounding tie goes to C: 4x the 2.3e-4 its two roundings may err by.
 _TIE = 1e-3
@@ -169,12 +175,12 @@ def _cells(x: np.ndarray) -> np.ndarray:
     """``_CELL`` of each value of 1-D float64 ``x``: 35 uint8 slot rows, 0 where unused.
 
     Slots: a sign, "0." and up to 3 zeros, 12 digits each with a point slot after it, and
-    "e", a sign and 2 or 3 digits.  ``_fmt`` formats ties, non-finite and extreme values.
+    "e", a sign and 2 or 3 digits.  ``_fmt`` formats near ties and non-finite values.
     """
-    fast = (np.abs(x) >= 1e-290) & (np.abs(x) <= 1e290)
-    a = np.where(fast, np.abs(x), 1.0)  # a zero too gets e = 0
-    e = np.floor(np.log10(a)).astype(np.intp) + _E
-    y = a * _SCALE[e]
+    fast = np.isfinite(x) & (x != 0)
+    a = np.where(fast, np.abs(x), 1.0)  # zeros and non-finite values get e = 0
+    e = np.floor(np.log10(a)).astype(np.intp) - _EXPONENTS.start
+    y = a * np.where(e < _LIFTED - _EXPONENTS.start, _LIFT, 1.0) * _SCALE[e]  # the lift is exact
     m = np.rint(y)
     fast = fast & (np.abs(y - m) < 0.5 - _TIE) & (m >= 1e11) & (m <= 1e12) | (x == 0)
     carry = m == 1e12  # rounding (or log10 just below a power of ten) reached the next decade

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .states import SuperpositionSpec, fock_amplitudes, photon_grid, readonly
 
@@ -235,6 +234,8 @@ def envelope_extrema(alpha: float, beta: float, n_min: float, n_max: float,
     than finite 0 <= n_min <= n_max, or past ``photon_grid``'s cap, raise
     ValueError.
     """
+    from scipy.optimize import brentq  # on use: import multicat skips it (~0.3 s)
+
     grid = photon_grid(max(alpha, beta), n_max, 1.0, n_min)
     pairs = _PairSum((alpha, beta))
     weights = pairs.envelope_weights(include_interference)

@@ -39,8 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
-from scipy.optimize import brentq, minimize_scalar
+from numpy.linalg import LinAlgError
 
 from .states import BOUNDARY_DECAY, SuperpositionSpec, position_wavefunction, readonly
 
@@ -205,6 +204,8 @@ def ground_state(
     LAPACK failure, NODA_MAX_STEPS steps, or a residual above tol plus the
     fold's mirror mismatch raise LinAlgError.  It records its steps and residual.
     """
+    from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it (SciPy 1.17+)
+
     xs = cfg.xs()
     v_samples = np.asarray(v_samples, dtype=float)
     if v_samples.shape != xs.shape:
@@ -280,6 +281,8 @@ def _probe_decay_rate(gamma: float) -> float:
     (and below d), so kappa from it is a lower bound: at the optimal trial
     t in (0, 1), t = (2 d / k) (1 - t^2)^2 and kappa^2 = d t (1 + t^2).
     """
+    from scipy.optimize import brentq  # on use: import multicat skips it (~0.3 s)
+
     depth = SCALE_BRACKET[0] * CURVATURE / gamma
     t = brentq(lambda t: t - 4.0 * depth / gamma * (1.0 - t * t) ** 2, 0.0, 1.0, xtol=1e-300)
     return math.sqrt(depth * t * (1.0 + t * t))
@@ -344,6 +347,8 @@ def solve_well(
     sector.  Centres closer than two position widths and a too coarse grid
     raise ValueError.
     """
+    from scipy.optimize import brentq, minimize_scalar  # on use: import multicat skips it (~0.3 s)
+
     parity = target.parity
     if parity == "none":
         raise ValueError("well calibration expects a symmetric-on-line target")

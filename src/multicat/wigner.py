@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.interpolate import CubicSpline
 
 from .states import BOUNDARY_DECAY, SuperpositionSpec, normalization, readonly
 
@@ -131,7 +130,10 @@ def wigner_closed_form(spec: SuperpositionSpec, grid: PhaseSpaceGrid) -> WignerF
     ``fringes undersampled`` when the widest ripple gets under two samples per
     period along p, and ``mass deficit`` when the grid misses probability mass.
     """
-    mus, cs = spec.amplitudes, spec.coefficients
+    # terms at one amplitude merge first, their coefficients summed exactly, so a nearly
+    # cancelling group keeps its digits (as ``normalization``'s fsum does)
+    mus, group = np.unique(spec.amplitudes, return_inverse=True)
+    cs = np.array([math.fsum(spec.coefficients[group == g]) for g in range(mus.size)])
     weight = np.multiply.outer(cs, cs)
     keep = weight != 0.0
     mids, mid_idx = np.unique(0.5 * np.add.outer(mus, mus)[keep], return_inverse=True)
@@ -170,6 +172,8 @@ def wigner_numeric(
     zeros), so memory holds the kernel, the field, one block and the lattice.
     Warns ``mass deficit``.
     """
+    from scipy.interpolate import CubicSpline  # on use: import multicat skips it (~0.08 s)
+
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: the quadrature assumes a real wavefunction sample")
     xs = np.asarray(xs, dtype=float)

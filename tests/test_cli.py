@@ -1,7 +1,13 @@
 """Command-line interface: parsing, file emission, determinism, round-trips."""
 
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +410,38 @@ class TestStepTable:
             listed + ["manifest.txt"])
 
 
+class TestImportFootprint:
+    """Each command, in a fresh interpreter, loads no SciPy package it never calls.
+
+    Only modules that ``import scipy.special`` leaves unloaded count: SciPy before 1.17
+    imports ``scipy.linalg`` from ``scipy.special``, which multicat needs at import.
+    """
+
+    DEFERRED = ("scipy.optimize", "scipy.interpolate", "scipy.linalg")
+    SCRIPT = ("import sys\nimport numpy, scipy.special\nbase = set(sys.modules)\n"
+              "from multicat import cli\ncode = cli.main(sys.argv[2:])\n"
+              "print(code, *sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["wigner", "--preset", "Y1"], DEFERRED),
+        (["marginals", "--preset", "Y1"], DEFERRED),
+        (["pnd", "--preset", "Y1"], DEFERRED),
+        (["envelope", "--preset", "Y1"], DEFERRED),
+        # the well solve needs scipy.optimize and scipy.linalg, not the spline
+        (["well", "--preset", "odd-cat(3)", "--points", "2001"], ("scipy.interpolate",)),
+    ], ids=["wigner", "marginals", "pnd", "envelope", "well"])
+    def test_command_leaves_unused_scipy_unloaded(self, tmp_path, argv, unused):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, ",".join(unused), *argv, "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"], f"loaded: {proc.stdout}"
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -485,17 +523,24 @@ class TestByteFormat:
             "q,p,w", np.repeat(qs, ps.size), np.tile(ps, qs.size), field.ravel()
         )
 
-    def test_c_formats_only_near_ties_of_the_default_y1_field(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, grid", [
+        ("Y1", None),
+        # underflowed tails down to subnormals: only their near ties reach C
+        ("Y3", (-60.0, 60.0, -30.0, 30.0, 1201, 301)),
+    ], ids=["Y1-default", "Y3-wide"])
+    def test_c_formats_only_near_ties(self, tmp_path, monkeypatch, name, grid):
         # no zero and no non-finite cell reaches C; the 1e-3 tie margin sends about 0.2%
-        spec = states.preset("Y1")
-        grid = wigner.default_grid(spec)
+        spec = states.preset(name)
+        grid = wigner.default_grid(spec) if grid is None else wigner.PhaseSpaceGrid(*grid)
         field = wigner.wigner_closed_form(spec, grid).values
         sent, fmt = [], cli._fmt
         monkeypatch.setattr(cli, "_fmt", lambda x: sent.append(float(x)) or fmt(x))
         cli._write_csv(tmp_path / "w.csv", "q,p,w", grid.qs(), grid.ps(), field)
-        sent = np.array(sent)
-        assert np.all(np.isfinite(sent)) and np.all(sent != 0.0)
-        assert 0 < sent.size < 0.004 * field.size
+        assert all(math.isfinite(x) and x != 0.0 for x in sent)
+        assert 0 < len(sent) < 0.004 * field.size
+        # exactly: 12 significant digits of |x| end within 2 _TIE of a rounding tie
+        scaled = [abs(d).scaleb(11 - abs(d).adjusted()) for d in map(Decimal, sent)]
+        assert all(abs(t % 1 - Decimal("0.5")) < 2 * cli._TIE for t in scaled)
 
     def test_edge_values_in_columns(self, tmp_path):
         path = tmp_path / "edge.csv"

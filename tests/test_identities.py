@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multicat import marginals, photon, states, wellsolver, wigner
@@ -64,6 +64,8 @@ class TestRoyer:
 
     @given(SPEC_TERMS)
     @settings(max_examples=120)
+    # a vacuum scaled by -0.0221 from three terms at one amplitude
+    @example([(0.0, -1.5220914483567578), (0.0, -0.5), (0.0, 2.0)])
     def test_random_specs(self, terms):
         route = fock_route(terms)
         assume(route is not None)

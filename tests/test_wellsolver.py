@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
@@ -181,7 +182,7 @@ class TestGroundState:
 
     def test_lapack_failure_raises(self, monkeypatch):
         # pttrf refusing the first shift, min V, or pttrs failing at all
-        real = ws.get_lapack_funcs
+        real = scipy.linalg.get_lapack_funcs  # ground_state imports it on each call
         cfg, xs, v = harmonic_problem(points=301)
         for which in ("pttrf", "pttrs"):
             def failing(names, arrays, which=which):
@@ -190,7 +191,7 @@ class TestGroundState:
                 funcs[which] = lambda *args: (*fail(*args)[:-1], 1)
                 return tuple(funcs.values())
 
-            monkeypatch.setattr(ws, "get_lapack_funcs", failing)
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
             with pytest.raises(LinAlgError, match="info=1"):
                 ws.ground_state(v, cfg)
 
@@ -208,7 +209,7 @@ class TestGroundState:
         cfg, xs, v = harmonic_problem(points=301)
         full = ws.ground_state(v, cfg)
         assert full.iterations == 6
-        real, calls = ws.get_lapack_funcs, []
+        real, calls = scipy.linalg.get_lapack_funcs, []
 
         def refusing(names, arrays):
             pttrf, pttrs = real(names, arrays)
@@ -220,7 +221,7 @@ class TestGroundState:
 
             return factor, pttrs
 
-        monkeypatch.setattr(ws, "get_lapack_funcs", refusing)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", refusing)
         if refused == 5:
             with pytest.raises(LinAlgError, match="residual"):
                 ws.ground_state(v, cfg)
