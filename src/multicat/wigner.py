@@ -41,8 +41,14 @@ __all__ = [
 #: |integral - 1| beyond which a field is flagged as missing probability mass.
 MASS_TOLERANCE = 1e-4
 
+#: Largest rounding error eps kappa / pi of the pair sum that ``wigner_closed_form`` accepts.
+ROUNDING_BUDGET = 1e-13
+
 #: q rows per GEMM in ``wigner_numeric``; a block's samples stay small beside the kernel.
 _Q_BLOCK = 64
+
+#: Relative round-off within which ``wigner_numeric`` takes its q axis and samples as mirrored.
+_MIRROR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -129,18 +135,25 @@ def wigner_closed_form(spec: SuperpositionSpec, grid: PhaseSpaceGrid) -> WignerF
     over distinct m and d, the field is one product G @ A @ R^T.  Warns
     ``fringes undersampled`` when the widest ripple gets under two samples per
     period along p, and ``mass deficit`` when the grid misses probability mass.
+    Raises ValueError when the terms cancel so far that the sum's rounding error,
+    about eps kappa / pi for kappa = (sum_j |c_j|)^2 / N, exceeds ROUNDING_BUDGET.
     """
     # terms at one amplitude merge first, their coefficients summed exactly, so a nearly
     # cancelling group keeps its digits (as ``normalization``'s fsum does)
     mus, group = np.unique(spec.amplitudes, return_inverse=True)
     cs = np.array([math.fsum(spec.coefficients[group == g]) for g in range(mus.size)])
+    norm = normalization(spec)
+    kappa = math.fsum(np.abs(cs)) ** 2 / norm
+    if (loss := np.finfo(float).eps * kappa / math.pi) > ROUNDING_BUDGET:
+        raise ValueError(f"terms cancel: kappa = {kappa:.3g} costs W about eps kappa / pi = "
+                         f"{loss:.1g} > {ROUNDING_BUDGET:g}; `multicat pnd` keeps its digits here")
     weight = np.multiply.outer(cs, cs)
     keep = weight != 0.0
     mids, mid_idx = np.unique(0.5 * np.add.outer(mus, mus)[keep], return_inverse=True)
     dists, dist_idx = np.unique(np.abs(np.subtract.outer(mus, mus))[keep], return_inverse=True)
     table = np.zeros((mids.size, dists.size))
     np.add.at(table, (mid_idx, dist_idx), weight[keep])
-    table /= math.pi * normalization(spec)
+    table /= math.pi * norm
     if grid.dp * dists[-1] > math.pi:
         warnings.warn(f"fringes undersampled: p step {grid.dp:.4g} exceeds half the period"
                       f" 2 pi / {dists[-1]:.4g} of the widest pair", stacklevel=2)
@@ -170,6 +183,9 @@ def wigner_numeric(
     and k1 hx.  Each block of ``_Q_BLOCK`` q rows is one GEMM against it,
     trimmed to the x columns that can reach inside ``xs`` (the rest are exact
     zeros), so memory holds the kernel, the field, one block and the lattice.
+    If ``psi`` is even or odd on mirrored ``xs`` and the q axis is mirrored too
+    (each within ``_MIRROR_TOL`` of its largest value), W is even in q as well:
+    only the (nq + 1) // 2 rows up to q = 0 are computed, and the rest copied.
     Warns ``mass deficit``.
     """
     from scipy.interpolate import CubicSpline  # on use: import multicat skips it (~0.08 s)
@@ -194,6 +210,9 @@ def wigner_numeric(
     def rank(ab):
         t = 2.0 * ab[1] * grid.dq / (ab[0] * h)  # hx in mean sample spacings
         return round(t) == 0 or abs(t - round(t)) >= 0.2, ab[1] / ab[0]
+
+    def mirrored(arr, sign):  # arr = sign arr[::-1] within round-off
+        return np.max(np.abs(arr - sign * arr[::-1])) <= _MIRROR_TOL * np.max(np.abs(arr))
 
     a, b = max(((a, b) for a in range(1, 3 * math.ceil(r) + 1) if (b := math.floor(a / r + 1e-9))),
                key=rank)
@@ -223,16 +242,22 @@ def wigner_numeric(
     for k1, s1 in enumerate(np.sin(small)):
         kern[:, k1] -= sb * s1
     kern = kern.reshape(-1, pc.size)  # rows past m are unused
+    # W(-q, p) = W(q, p) as well when psi is even or odd on mirrored xs: on a mirrored q axis
+    # the rows up to the middle are computed, and each row past it is copied from its twin
+    sym = mirrored(qs, -1) and mirrored(xs, -1) and (mirrored(psi, 1) or mirrored(psi, -1))
+    rows = (grid.nq + 1) // 2 if sym else grid.nq
     w = np.empty((grid.nq, grid.np))
     v = w[:, ::-1] if flip else w
-    for i in range(0, grid.nq, _Q_BLOCK):
+    for i in range(0, rows, _Q_BLOCK):
+        blk = slice(i, min(i + _Q_BLOCK, rows))
         # the slack of half a column absorbs rounding at the block's reach
-        n = min(m + 1, max(0, math.floor(2.0 * reach[i : i + _Q_BLOCK].max() / hx + 0.5) + 1))
-        prod = up[i : i + _Q_BLOCK, :n] * down[i : i + _Q_BLOCK, :n]
+        n = min(m + 1, max(0, math.floor(2.0 * reach[blk].max() / hx + 0.5) + 1))
+        prod = up[blk, :n] * down[blk, :n]
         prod *= trap_w[:n]
-        v[i : i + _Q_BLOCK, c:] = prod @ kern[:n]
-        v[i : i + _Q_BLOCK, :c] = v[i : i + _Q_BLOCK, t : t - c : -1]
+        v[blk, c:] = prod @ kern[:n]
+        v[blk, :c] = v[blk, t : t - c : -1]
         del prod  # free this block before the next one is sampled
+    w[rows:] = w[: grid.nq - rows][::-1]
     w /= 2.0 * math.pi
     return _checked_field(grid, w)
 

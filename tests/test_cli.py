@@ -224,6 +224,14 @@ class TestRuns:
         assert cli.main(argv) == 1
         assert "captured mass" in capsys.readouterr().err
 
+    def test_cancelling_pair_sum_is_refused(self, tmp_path, capsys):
+        # |0> - |1e-5> has kappa = 4e10: its closed-form field would be wrong from the 6th digit
+        argv = ["wigner", "--amps", "0,1e-5", "--coeffs", "1,-1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: terms cancel: kappa = 4e+10") and "multicat pnd" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_well_report_fields(self, tmp_path):
         rc = cli.main(
             ["well", "--preset", "even-cat(2)", "--points", "2001", "--out", str(tmp_path)]

@@ -6,6 +6,7 @@ import timeit
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -243,6 +244,71 @@ class TestPairTable:
         assert peak < 1.2 * 8 * grid.nq * grid.np
 
 
+def pair_sum_oracle(spec, grid):
+    """W(q, p) = sum_jk c_j c_k K(q, p; mu_j, mu_k) / N in 50-digit arithmetic.
+
+    Every input float enters exactly; N is the same pair sum of the overlaps.
+    """
+    with mpmath.workdps(50):
+        terms = [(mpmath.mpf(float(m)), mpmath.mpf(float(c))) for m, c in spec.terms]
+        pairs = [(cj * ck, (mj + mk) / 2, mj - mk) for mj, cj in terms for mk, ck in terms]
+        norm = mpmath.fsum(w * mpmath.exp(-d * d / 2) for w, _, d in pairs)
+        w = np.empty((grid.nq, grid.np))
+        for i, q in enumerate(grid.qs()):
+            for j, p in enumerate(grid.ps()):
+                q, p = mpmath.mpf(float(q)), mpmath.mpf(float(p))
+                total = mpmath.fsum(wt * mpmath.exp(-2 * (q - m) ** 2) * mpmath.cos(p * d)
+                                    for wt, m, d in pairs)
+                w[i, j] = float(total * mpmath.exp(-p * p / 2) / (mpmath.pi * norm))
+    return w
+
+
+def cat_pair(d):
+    return ((0.0, 1.0), (d, -1.0))
+
+
+class TestConditioning:
+    # the pair sum loses about eps kappa / pi, kappa = (sum_j |c_j|)^2 / N: the closed form
+    # either keeps 1e-13 of W or refuses the spec by name of kappa
+    SEED_2 = ((0.0, -0.5), (0.0, 1.0), (0.0, 1.0), (0.015625, -1.5))  # 1.5 |0> - 1.5 |1/64>
+
+    @pytest.mark.filterwarnings("ignore:mass deficit", "ignore:fringes undersampled")
+    @pytest.mark.parametrize("terms, refused", [
+        *((name, False) for name in ["Y1", "Y2", "Y3", "vacuum", "even-cat(2)", "odd-cat(3)"]),
+        (cat_pair(1e-1), False),
+        *((cat_pair(d), True) for d in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)),
+        (SEED_2, True),
+        (((-1e-4, 1.0), (0.0, -2.0), (1e-4, 1.0)), True),
+        (((-3.1, 1.0), (-3.0, -1.0), (3.0, -1.0), (3.1, 1.0)), False),  # kappa = 8e2
+        (((-3.05, 1.0), (-3.0, -1.0), (3.0, -1.0), (3.05, 1.0)), True),  # kappa = 3.2e3
+    ])
+    def test_matches_pair_sum_oracle_or_refuses(self, terms, refused):
+        spec = states.preset(terms) if isinstance(terms, str) else states.SuperpositionSpec(terms)
+        half = spec.max_amplitude + 2.0
+        grid = wigner.PhaseSpaceGrid(-half, half, -4.0, 4.0, 9, 9)
+        if refused:
+            with pytest.raises(ValueError, match=r"terms cancel: kappa = \S+ costs W .* pnd"):
+                wigner.wigner_closed_form(spec, grid)
+        else:
+            got = wigner.wigner_closed_form(spec, grid).values
+            assert np.max(np.abs(got - pair_sum_oracle(spec, grid))) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore:mass deficit")
+    @pytest.mark.parametrize("d, refused", [(0.054, False), (0.052, True)])  # kappa 1.37e3, 1.48e3
+    def test_refusal_starts_at_the_budget(self, d, refused):
+        # eps kappa / pi = ROUNDING_BUDGET at kappa = 1.41e3; unit-weight {+-a, +-b} has
+        # N >= 4, so kappa <= 4, far inside
+        spec = states.SuperpositionSpec(cat_pair(d))
+        limit = math.pi * wigner.ROUNDING_BUDGET / np.finfo(float).eps
+        assert (4.0 / states.normalization(spec) > limit) == refused
+        grid = wigner.PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
+        if refused:
+            with pytest.raises(ValueError, match="terms cancel"):
+                wigner.wigner_closed_form(spec, grid)
+        else:
+            wigner.wigner_closed_form(spec, grid)
+
+
 class TestNumericTransform:
     def test_vacuum_matches_closed_form(self):
         spec = states.preset("vacuum")
@@ -426,6 +492,46 @@ class TestBlockedTransform:
         twin = np.abs(ps[:, None] + ps[None, :]) < 1e-9  # twin[j, k]: p_k = -p_j
         for j, k in zip(*np.nonzero(twin)):
             assert np.array_equal(got[:, j], got[:, k])  # a copy, not a second quadrature
+
+    @pytest.mark.filterwarnings("ignore:mass deficit")  # 41 p points alias Y3's fringes
+    @pytest.mark.parametrize("name", ["Y3", "odd-cat(3)", "well-Y1"])
+    @pytest.mark.parametrize("nq", [64, 65, 601])
+    def test_q_mirror_matches_per_row_reference(self, name, nq):
+        # W(-q, p) = W(q, p) for an even or odd psi on mirrored xs and a mirrored q axis
+        spec = states.preset(name.removeprefix("well-"))
+        if name.startswith("well-"):
+            sample = solver_samples(name.removeprefix("well-"))
+            xs, psi = sample.xs, sample.values
+        else:
+            xs, psi = sampled_wavefunction(spec, n=2001)
+        grid = wigner.default_grid(spec, nq, 41)
+        got = wigner.wigner_numeric(xs, psi, grid).values
+        assert np.max(np.abs(got - per_row_reference(xs, psi, grid))) <= 1e-14
+        for i in range(nq // 2):
+            assert np.array_equal(got[i], got[nq - 1 - i])  # a copy, not a second quadrature
+
+    @pytest.mark.filterwarnings("ignore:mass deficit")
+    @pytest.mark.parametrize("case", ["skew", "off-centre", "nudged", "xs-unmirrored"])
+    def test_q_mirror_needs_every_symmetry(self, case, monkeypatch):
+        # each input lacks one symmetry, so it takes the full loop: bit-equal to the loop
+        # that never mirrors, and no row a copy of its twin
+        spec = self.SKEW if case == "skew" else states.preset("Y3")
+        xs, psi = sampled_wavefunction(spec, n=2001)
+        half = spec.max_amplitude + 5.0
+        lo, hi, dq = -half, half, wigner.default_grid(spec, 65, 41).dq
+        if case == "off-centre":
+            lo, hi = lo + 0.5 * dq, hi + 0.5 * dq
+        elif case == "nudged":  # off centre by 1e-9 dq, far past round-off
+            hi += 1e-9 * dq
+        elif case == "xs-unmirrored":
+            xs = np.linspace(-half - 1.0, half + 1.5, 2001)
+            psi = states.position_wavefunction(spec, xs)
+        grid = wigner.PhaseSpaceGrid(lo, hi, -8.0, 8.0, 65, 41)
+        got = wigner.wigner_numeric(xs, psi, grid).values
+        monkeypatch.setattr(wigner, "_MIRROR_TOL", -1.0)
+        assert np.array_equal(got, wigner.wigner_numeric(xs, psi, grid).values)
+        assert not any(np.array_equal(got[i], got[64 - i]) for i in range(32))
+        assert np.max(np.abs(got - per_row_reference(xs, psi, grid))) <= 1e-14
 
     def test_peak_memory_is_kernel_plus_field(self):
         # materialising the (nq, m + 1) product matrix (5.8 MB) would exceed the headroom;
