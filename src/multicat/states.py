@@ -58,6 +58,9 @@ PARITY_TOLERANCE = 1e-12
 #: max |psi|; ``wellsolver.ground_state`` and ``wigner.wigner_numeric`` refuse more.
 BOUNDARY_DECAY = 1e-10
 
+#: Relative round-off within which ``mirrored`` takes an array as its own mirror image.
+_MIRROR_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
@@ -117,6 +120,11 @@ def readonly(values) -> np.ndarray:
         values = np.array(values, dtype=float)
         values.flags.writeable = False
     return values
+
+
+def mirrored(arr: np.ndarray, sign: float) -> bool:
+    """arr = sign arr[::-1] within _MIRROR_TOL of max |arr|: the program's one symmetry test."""
+    return bool(np.max(np.abs(arr - sign * arr[::-1])) <= _MIRROR_TOL * np.max(np.abs(arr)))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .states import BOUNDARY_DECAY, SuperpositionSpec, position_wavefunction, readonly
+from .states import BOUNDARY_DECAY, SuperpositionSpec, mirrored, position_wavefunction, readonly
 
 __all__ = [
     "WellPotentialSpec",
@@ -186,33 +186,31 @@ def ground_state(
     """Lowest eigenpair of -1/2 d^2/dx^2 + V on ``cfg``'s grid, by Noda iteration.
 
     ``v_samples`` is V on ``cfg.xs()``; the three-point stencil (module
-    docstring) is built here and nowhere else.  A reflection-symmetric
-    stencil, |H[i, i] - H[n-1-i, n-1-i]| <= 1e-9 max(1, max |H[i, i]|), is
-    folded onto the half grid x >= 0 about the centre index m, so the solve
-    cannot mix the parities of a near-degenerate tunnelling doublet.  The
-    even sector takes rows m, m+1, ... with the first coupling scaled by
-    sqrt(2), and its solution's first component is scaled back by sqrt(2);
-    the odd sector (``odd``) takes rows m+1, ... (psi(0) = 0).  The half
-    solution is mirrored with the sector's sign, positive on the solved half.
-    An asymmetric V is solved on the full grid and has no odd sector
-    (ValueError).  From x = 1 and sigma = min V < E0, each Noda step solves
-    (H - sigma) y = x, so y > 0 and min(x / y) <= E0 - sigma (Collatz-
-    Wielandt); x becomes y / |y| and sigma that bound less tol = NODA_TOL ||H||,
-    until the bound is within 2 tol or ``pttrf`` refuses a shift on E0.  The
-    energy is x's Rayleigh quotient.  A solution not decayed to BOUNDARY_DECAY
-    of its peak at a grid end, and non-finite samples, raise ValueError.  A
-    LAPACK failure, NODA_MAX_STEPS steps, or a residual above tol plus the
-    fold's mirror mismatch raise LinAlgError.  It records its steps and residual.
+    docstring) is built here and nowhere else.  A stencil whose diagonal is
+    its own mirror image at round-off (``states.mirrored``) is folded onto
+    the half grid x >= 0 about the centre index m, so the solve cannot mix
+    the parities of a near-degenerate tunnelling doublet.  The even sector
+    takes rows m, m+1, ... with the first coupling scaled by sqrt(2), and its
+    solution's first component is scaled back by sqrt(2); the odd sector
+    (``odd``) takes rows m+1, ... (psi(0) = 0).  The half solution is mirrored
+    with the sector's sign, positive on the solved half.  Any other V is
+    solved on the full grid and has no odd sector (ValueError).  From x = 1
+    and sigma = min V < E0, each Noda step solves (H - sigma) y = x, so y > 0
+    and min(x / y) <= E0 - sigma (Collatz-Wielandt); x becomes y / |y| and
+    sigma that bound less tol = NODA_TOL ||H||, until the bound is within 2 tol
+    or ``pttrf`` refuses a shift on E0.  The energy is x's Rayleigh quotient.
+    A solution not decayed to BOUNDARY_DECAY of its peak at a grid end, and
+    non-finite samples, raise ValueError.  A LAPACK failure, NODA_MAX_STEPS
+    steps, or a residual above tol plus the fold's mirror mismatch raise
+    LinAlgError.  It records its steps and residual.
     """
     from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it (SciPy 1.17+)
 
     xs = cfg.xs()
     v_samples = np.asarray(v_samples, dtype=float)
     if v_samples.shape != xs.shape:
-        raise ValueError(
-            f"potential samples of shape {v_samples.shape} do not match the"
-            f" {cfg.points}-point solver grid"
-        )
+        raise ValueError(f"potential samples of shape {v_samples.shape} do not match the"
+                         f" {cfg.points}-point solver grid")
     n = xs.size
     dx = float(xs[1] - xs[0])
     inv = 1.0 / (dx * dx)
@@ -220,8 +218,8 @@ def ground_state(
     if not np.isfinite(diag).all():
         raise ValueError("potential samples and grid step must be finite")
     scale = max(1.0, float(np.max(np.abs(diag))))
-    skew = float(np.max(np.abs(diag - diag[::-1])))  # the fold ignores this mirror mismatch
-    symmetric = skew <= 1e-9 * scale
+    skew = float(np.max(np.abs(diag - diag[::-1])))  # a fold ignores this mirror mismatch
+    symmetric = mirrored(diag, 1)
     if odd and not symmetric:
         raise ValueError("the odd sector needs a reflection-symmetric potential")
 
@@ -251,10 +249,8 @@ def ground_state(
     v = v / math.sqrt(float(v @ v) * dx)
 
     if max(abs(v[0]), abs(v[-1])) > BOUNDARY_DECAY * float(np.max(np.abs(v))):
-        raise ValueError(
-            "domain too small: the solution has not decayed at the boundary"
-            f" [{cfg.domain[0]:g}, {cfg.domain[1]:g}]"
-        )
+        raise ValueError("domain too small: the solution has not decayed at the boundary"
+                         f" [{cfg.domain[0]:g}, {cfg.domain[1]:g}]")
     hv = diag * v
     hv[:-1] += off * v[1:]
     hv[1:] += off * v[:-1]
@@ -262,9 +258,8 @@ def ground_state(
     resid = math.sqrt(float(np.sum((hv - energy * v) ** 2)) * dx)
     if resid > tol + (skew if symmetric else 0.0):
         raise LinAlgError(f"Noda iteration stopped at residual {resid:.3g}")
-    return DiscretizedWavefunction(
-        xs=xs, values=v, energy=energy, iterations=steps, residual=resid
-    )
+    return DiscretizedWavefunction(xs=xs, values=v, energy=energy, iterations=steps,
+                                   residual=resid)
 
 
 #: Domain margin past the outermost centre at gamma <= 2, where the tails of
@@ -333,14 +328,15 @@ def solve_well(
 ) -> Tuple[WellPotentialSpec, DiscretizedWavefunction, float]:
     """Calibrated wells for a target superposition, their ground state and its fidelity.
 
-    Wells sit at the target amplitudes with V0 = CURVATURE / gamma.  With
-    more than one |amplitude| the inner wells' depth scale s* is the
+    Wells sit at the sorted target amplitudes a_i made exact mirror images,
+    (a_i - a_(n+1-i)) / 2 (as ``parity`` pairs them), with V0 = CURVATURE /
+    gamma.  With more than one |centre| the inner wells' depth scale s* is the
     ``brentq`` root (xtol 1e-11, the energies' noise floor) in SCALE_BRACKET
     of the inner/outer subproblem ground-energy difference, which falls with s.
     The full problem's fidelity is then maximised over s by SciPy's Brent
     search (``minimize_scalar``), bracketed from s* - POLISH_STEP and s* and
     stopped within about POLISH_STEP (Y1 and Y2: 11 solves, 3 in the polish;
-    Y3: 12; {+-1, +-4, +-7}: 18).  With one |amplitude|, or no root in the
+    Y3: 12; {+-1, +-4, +-7}: 18).  With one |centre|, or no root in the
     bracket, it is solved at s = 1 alone (odd-cat(3): 1 solve).  Each well
     system is solved once, on ``cfg`` (default:
     ``default_solver_config(target, gamma=gamma)``), in the target's parity
@@ -352,13 +348,12 @@ def solve_well(
     parity = target.parity
     if parity == "none":
         raise ValueError("well calibration expects a symmetric-on-line target")
-    centers = tuple(sorted(set(float(m) for m in target.amplitudes)))
+    amps = np.sort(target.amplitudes)
+    centers = tuple(float(c) for c in np.unique(0.5 * (amps - amps[::-1])))
     min_gap = min((b - a for a, b in zip(centers, centers[1:])), default=math.inf)
     if min_gap < MIN_GAP:
-        raise ValueError(
-            f"wells merge: minimum centre gap {min_gap:.3g} is below"
-            f" {MIN_GAP:.3g} (two position widths)"
-        )
+        raise ValueError(f"wells merge: minimum centre gap {min_gap:.3g} is below"
+                         f" {MIN_GAP:.3g} (two position widths)")
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     spec = WellPotentialSpec(centers=centers, v0=CURVATURE / gamma, gamma=gamma)
@@ -367,13 +362,10 @@ def solve_well(
     dx = float(xs[1] - xs[0])
     limit = MAX_STEP_FRACTION * min(1.0 / math.sqrt(gamma), 0.5)
     if dx > limit:
-        raise ValueError(
-            f"grid too coarse: step {dx:.3g} exceeds {limit:.3g}, half the well"
-            f" width at gamma={gamma:g}; raise --points or narrow the domain"
-        )
+        raise ValueError(f"grid too coarse: step {dx:.3g} exceeds {limit:.3g}, half the well"
+                         f" width at gamma={gamma:g}; raise --points or narrow the domain")
     odd = parity == "odd"
-    mags = [round(abs(c), 12) for c in centers]
-    inner = tuple(c for c, m in zip(centers, mags) if m == min(mags))
+    inner = tuple(c for c in centers if abs(c) == min(map(abs, centers)))
     outer = tuple(c for c in centers if c not in inner)
     shapes: dict = {}
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .states import BOUNDARY_DECAY, SuperpositionSpec, normalization, readonly
+from .states import BOUNDARY_DECAY, SuperpositionSpec, mirrored, normalization, readonly
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -46,9 +46,6 @@ ROUNDING_BUDGET = 1e-13
 
 #: q rows per GEMM in ``wigner_numeric``; a block's samples stay small beside the kernel.
 _Q_BLOCK = 64
-
-#: Relative round-off within which ``wigner_numeric`` takes its q axis and samples as mirrored.
-_MIRROR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -183,9 +180,9 @@ def wigner_numeric(
     and k1 hx.  Each block of ``_Q_BLOCK`` q rows is one GEMM against it,
     trimmed to the x columns that can reach inside ``xs`` (the rest are exact
     zeros), so memory holds the kernel, the field, one block and the lattice.
-    If ``psi`` is even or odd on mirrored ``xs`` and the q axis is mirrored too
-    (each within ``_MIRROR_TOL`` of its largest value), W is even in q as well:
-    only the (nq + 1) // 2 rows up to q = 0 are computed, and the rest copied.
+    If ``psi`` is even or odd on mirrored ``xs`` and the q axis is mirrored too,
+    W is even in q as well: only the (nq + 1) // 2 rows up to q = 0 are computed,
+    and the rest copied.  Each mirror is ``states.mirrored``'s, at round-off.
     Warns ``mass deficit``.
     """
     from scipy.interpolate import CubicSpline  # on use: import multicat skips it (~0.08 s)
@@ -211,9 +208,6 @@ def wigner_numeric(
         t = 2.0 * ab[1] * grid.dq / (ab[0] * h)  # hx in mean sample spacings
         return round(t) == 0 or abs(t - round(t)) >= 0.2, ab[1] / ab[0]
 
-    def mirrored(arr, sign):  # arr = sign arr[::-1] within round-off
-        return np.max(np.abs(arr - sign * arr[::-1])) <= _MIRROR_TOL * np.max(np.abs(arr))
-
     a, b = max(((a, b) for a in range(1, 3 * math.ceil(r) + 1) if (b := math.floor(a / r + 1e-9))),
                key=rank)
     eps = grid.dq / a
@@ -231,11 +225,12 @@ def wigner_numeric(
                       writeable=False)
 
     # W(q, -p) = W(q, p) for a real psi.  Seen from the end of the p axis that reaches further
-    # from 0, column t - j holds -p_j, and the first c columns are copied from those twins
-    r, flip = -2.0 * grid.p_min / grid.dp, grid.p_max < -grid.p_min
-    t = 2 * grid.np - 2 - round(r) if flip else round(r)
-    c = max(0, (t + 1) // 2) if abs(r - round(r)) < 1e-6 else 0
-    pc = (grid.ps()[::-1] if flip else grid.ps())[c:]
+    # from 0, column t - j holds -p_j if ps[:t + 1] is mirrored: the first c columns copy them
+    flip = grid.p_max < -grid.p_min
+    ps = grid.ps()[::-1] if flip else grid.ps()
+    t = round(2.0 * abs(ps[0]) / grid.dp)
+    c = (t + 1) // 2 if t > 0 and mirrored(ps[: t + 1], -1) else 0
+    pc = ps[c:]
     # cos(x p) at x = (32 k0 + k1) hx by angle addition
     big, small = (np.multiply.outer(hx * np.arange(0, n, k), pc) for n, k in ((m + 1, 32), (32, 1)))
     kern, sb = np.cos(big)[:, None] * np.cos(small), np.sin(big)  # kern[k0, k1] at row 32 k0 + k1

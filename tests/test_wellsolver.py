@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
@@ -162,6 +164,35 @@ class TestGroundState:
         with pytest.raises(ValueError, match="odd sector"):
             ws.ground_state(v, cfg, odd=True)
 
+    @staticmethod
+    def tilted_against_dense(centre, tilt):
+        """1 - overlap^2 and the relative energy error of ``ground_state`` on a double well
+        tilted by ``tilt`` tanh(x), against ``eigh_tridiagonal`` of the same H."""
+        cfg = ws.SolverConfig(domain=(-25.0, 25.0), points=4001)
+        xs = cfg.xs()
+        v = ws.potential(ws.WellPotentialSpec((-centre, centre), 3.0, 2.0), xs) + tilt * np.tanh(xs)
+        psi = ws.ground_state(v, cfg)
+        inv = 1.0 / psi.dx**2
+        (e0,), ref = eigh_tridiagonal(inv + v, np.full(xs.size - 1, -0.5 * inv),
+                                      select="i", select_range=(0, 0))
+        overlap = float(psi.values @ ref[:, 0]) * math.sqrt(psi.dx)
+        return 1.0 - overlap**2, abs(psi.energy - e0) / e0
+
+    @pytest.mark.parametrize("tilt", [1e-8, 1e-7, 1e-6, 3e-6])
+    def test_tilted_doublet_is_not_folded(self, tilt):
+        # wells at +-5 split by 8.2e-8: a fold that ignored the tilt kept overlap^2 0.99 to 0.51
+        loss, energy_err = self.tilted_against_dense(5.0, tilt)
+        assert loss <= 1e-10 and energy_err <= 1e-11
+
+    @given(tilt=st.floats(0.0, 1e-5))
+    @example(tilt=3e-11)  # within round-off of max |H_ii| = 6400: folded
+    @settings(max_examples=8, deadline=None)
+    def test_tilted_potential_matches_dense_solve(self, tilt):
+        # wells at +-3 split by 2.3e-4: the at most 1e-14 max |H_ii| / 2 = 3.2e-11 of skew that
+        # a fold ignores turns the state by at most 1.4e-7 (Davis-Kahan), 2e-14 of overlap^2
+        loss, energy_err = self.tilted_against_dense(3.0, tilt)
+        assert loss <= 1e-10 and energy_err <= 1e-11
+
     @pytest.mark.parametrize("odd", [False, True])
     def test_truncated_domain_rejected(self, odd):
         # omega = 2 ground state exp(-x^2) is still 1e-4 of its peak at |x| = 3
@@ -301,6 +332,16 @@ class TestCalibration:
         spec = ws.solve_well(states.preset("Y1"))[0]
         assert spec.centers == (-7.0, -4.0, 4.0, 7.0)
         assert spec.v0 * spec.gamma == pytest.approx(ws.CURVATURE)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-13, 5e-13, 8e-13])
+    def test_off_mirror_amplitudes_get_mirrored_centres(self, delta):
+        # {4, -4 - delta, 7, -7} is even within PARITY_TOLERANCE.  Its centres must be mirror
+        # images, both inner wells rescaled alike; one rescaled well localised it at 0.508
+        target = states.SuperpositionSpec(((4.0, 1.0), (-4.0 - delta, 1.0), (7.0, 1.0), (-7.0, 1.0)))
+        spec, _, fid = ws.solve_well(target)
+        assert spec.centers == tuple(-c for c in reversed(spec.centers))
+        assert spec.scales == tuple(reversed(spec.scales))
+        assert fid == pytest.approx(ws.solve_well(states.preset("Y1"))[2], abs=1e-10)
 
     def test_narrow_gap_rejected(self):
         target = states.SuperpositionSpec(terms=((0.25, 1.0), (-0.25, 1.0)))

@@ -9,6 +9,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from multicat import marginals, states, wellsolver, wigner
@@ -528,10 +530,32 @@ class TestBlockedTransform:
             psi = states.position_wavefunction(spec, xs)
         grid = wigner.PhaseSpaceGrid(lo, hi, -8.0, 8.0, 65, 41)
         got = wigner.wigner_numeric(xs, psi, grid).values
-        monkeypatch.setattr(wigner, "_MIRROR_TOL", -1.0)
+        # only the q mirror off: the one array of 41 values tested is the p axis
+        monkeypatch.setattr(wigner, "mirrored", lambda arr, sign: arr.size == 41
+                            and states.mirrored(arr, sign))
         assert np.array_equal(got, wigner.wigner_numeric(xs, psi, grid).values)
         assert not any(np.array_equal(got[i], got[64 - i]) for i in range(32))
         assert np.max(np.abs(got - per_row_reference(xs, psi, grid))) <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:mass deficit")  # 41 p points alias Y1's fringes
+    @given(offset=st.floats(0.0, 1e-5), end=st.sampled_from([0, 1]), sign=st.sampled_from([-1, 1]))
+    @example(offset=2e-9, end=1, sign=1)
+    @example(offset=2e-7, end=1, sign=1)
+    @example(offset=1e-6, end=1, sign=1)
+    @example(offset=1e-13, end=1, sign=1)  # inside round-off: the columns are copied
+    @settings(max_examples=8, deadline=None)
+    def test_off_mirror_p_axis_matches_per_row_reference(self, offset, end, sign):
+        # one end of the p axis moved by offset * dp: past round-off no column may be copied
+        # from its twin.  Within it a copy stands at most states._MIRROR_TOL max |p| from its
+        # column, where |dW/dp| <= (1/2 pi) Int |x psi psi| dx <= span(xs) / pi
+        spec = states.preset("Y1")
+        xs, psi = sampled_wavefunction(spec, n=2001)
+        bounds = [-8.0, 8.0]
+        bounds[end] += sign * offset * 0.4  # dp = 0.4 on 41 points
+        grid = wigner.PhaseSpaceGrid(-12.0, 12.0, *bounds, 65, 41)
+        got = wigner.wigner_numeric(xs, psi, grid).values
+        slack = (xs[-1] - xs[0]) / math.pi * states._MIRROR_TOL * 8.0
+        assert np.max(np.abs(got - per_row_reference(xs, psi, grid))) <= 1e-14 + slack
 
     def test_peak_memory_is_kernel_plus_field(self):
         # materialising the (nq, m + 1) product matrix (5.8 MB) would exceed the headroom;
