@@ -163,6 +163,11 @@ class DiscretizedWavefunction:
         return self.xs[1:-1][inner]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b summed pairwise by ``np.add.reduce`` in a fixed order, so no BLAS kernel moves it."""
+    return float(np.add.reduce(a * b))
+
+
 def _well_sum(spec: WellPotentialSpec, xa: np.ndarray, shapes: dict) -> np.ndarray:
     """``potential`` on ``xa``, reusing the exp(-k (x - c)^2) that ``shapes`` holds for xa and k."""
     k = spec.gamma / 2.0
@@ -238,7 +243,7 @@ def ground_state(
         if info or steps == NODA_MAX_STEPS:
             raise LinAlgError(f"Noda iteration failed (pttrf/pttrs info={info}, {steps} steps)")
         lo = float(np.min(u / y))  # Collatz-Wielandt: 0 < lo <= E0 - sigma
-        u, sigma, steps = y / math.sqrt(float(y @ y)), sigma + lo - tol, steps + 1
+        u, sigma, steps = y / math.sqrt(_dot(y, y)), sigma + lo - tol, steps + 1
     if symmetric and odd:
         v = np.concatenate((-u[::-1], [0.0], u))
     elif symmetric:
@@ -246,7 +251,7 @@ def ground_state(
         v = np.concatenate((u[:0:-1], u))
     else:
         v = u
-    v = v / math.sqrt(float(v @ v) * dx)
+    v = v / math.sqrt(_dot(v, v) * dx)
 
     if max(abs(v[0]), abs(v[-1])) > BOUNDARY_DECAY * float(np.max(np.abs(v))):
         raise ValueError("domain too small: the solution has not decayed at the boundary"
@@ -254,7 +259,7 @@ def ground_state(
     hv = diag * v
     hv[:-1] += off * v[1:]
     hv[1:] += off * v[:-1]
-    energy = float(v @ hv) * dx  # the Rayleigh quotient
+    energy = _dot(v, hv) * dx  # the Rayleigh quotient
     resid = math.sqrt(float(np.sum((hv - energy * v) ** 2)) * dx)
     if resid > tol + (skew if symmetric else 0.0):
         raise LinAlgError(f"Noda iteration stopped at residual {resid:.3g}")
@@ -307,13 +312,10 @@ MAX_STEP_FRACTION = 0.5
 
 def _fidelity_on(target: SuperpositionSpec, xs: np.ndarray):
     """``fidelity`` for states on ``xs``, with the target evaluated there once."""
-    dx, t = float(xs[1] - xs[0]), np.asarray(position_wavefunction(target, xs))
-    t_norm = math.sqrt(float(t @ t) * dx)
-    if t_norm == 0.0:
+    t = np.asarray(position_wavefunction(target, xs))
+    if (tt := _dot(t, t)) == 0.0:
         raise ValueError("target state vanishes on the solver grid")
-    t /= t_norm
-    return lambda psi: float(
-        (psi.values / math.sqrt(float(psi.values @ psi.values) * dx) @ t) * dx) ** 2
+    return lambda psi: _dot(psi.values, t) ** 2 / (_dot(psi.values, psi.values) * tt)
 
 
 def fidelity(psi: DiscretizedWavefunction, target: SuperpositionSpec) -> float:

@@ -261,7 +261,7 @@ class TestRuns:
         lines = (tmp_path / "well_report.txt").read_text().splitlines()
         assert "depth_scales=1,0.825424034938,0.825424034938,1" in lines
         assert "energy=1.03569637884" in lines
-        assert "fidelity=0.978930461535" in lines
+        assert "fidelity=0.978930461537" in lines
 
     def test_well_report_first_case(self, tmp_path):
         # frozen numbers
