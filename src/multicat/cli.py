@@ -320,7 +320,7 @@ def _emit_well(cfg: argparse.Namespace, include_curves: bool = True) -> List[_Ou
         f"grid_step={_fmt(psi.dx)}\n"
         f"energy={_fmt(psi.energy)}\n"
         f"iterations={psi.iterations}\n"
-        f"residual={_fmt(psi.residual)}\n"
+        f"residual={psi.residual:.2g}\n"  # a round-off indicator: 2 digits, not 12
         f"fidelity={_fmt(fid)}\n"
         f"peak_positions={','.join(_fmt(p) for p in peaks)}\n"
     )

@@ -122,6 +122,12 @@ class _PairSum:
         psi = special.digamma(np.asarray(ns, dtype=float) + 1.0)[..., None]
         return self.scale * ((self.terms(ns) * (np.log(self.product) - psi)) @ weights)
 
+    def slope_and_curvature(self, ns, weights) -> tuple:
+        """``slope`` and its d/dn, (2/N) sum_r w_r T_r ((ln x_r - psi)^2 - psi'), from one T."""
+        t, d = self.terms(ns), np.log(self.product) - special.digamma(ns + 1.0)[..., None]
+        psi1 = special.zeta(2.0, ns + 1.0)[..., None]  # psi'(n+1); polygamma(1, .) is 6x slower
+        return self.scale * ((t * d) @ weights), self.scale * ((t * (d * d - psi1)) @ weights)
+
     def envelope_weights(self, include_interference: bool) -> np.ndarray:
         if not (self.product > 0.0).all():
             raise ValueError("envelope requires strictly positive amplitudes")
@@ -220,33 +226,39 @@ def envelope_derivative(alpha: float, beta: float, n, include_interference: bool
     return _like(ns, pairs.slope(ns, pairs.envelope_weights(include_interference)))
 
 
-#: Absolute tolerance in n to which ``envelope_extrema`` locates each zero.
-EXTREMA_XTOL = 1e-10
+#: Absolute tolerance in n to which ``envelope_extrema`` locates each zero, and its step cap.
+EXTREMA_XTOL, EXTREMA_MAX_STEPS = 1e-10, 64
 
 
 def envelope_extrema(alpha: float, beta: float, n_min: float, n_max: float,
                      include_interference: bool = True) -> np.ndarray:
     """Zeros of the envelope derivative in [n_min, n_max], located to EXTREMA_XTOL.
 
-    The derivative is evaluated on a unit-step grid; each sign change is
-    refined with Brent's method and each exact zero on the grid is kept.
-    The pairs and N are built once per call, not per step.  Bounds other
-    than finite 0 <= n_min <= n_max, or past ``photon_grid``'s cap, raise
-    ValueError.
+    Exact zeros on a unit-step grid are kept, and all its sign changes are refined
+    at once from their midpoints: Newton steps (psi' = zeta(2, n+1)) inside each
+    shrinking closed bracket, bisection where a step leaves it or is NaN, until each
+    step is at most EXTREMA_XTOL (RuntimeError after EXTREMA_MAX_STEPS).  Bounds other
+    than finite 0 <= n_min <= n_max, or past ``photon_grid``'s cap, raise ValueError.
     """
-    from scipy.optimize import brentq  # on use: import multicat skips it (~0.3 s)
-
     grid = photon_grid(max(alpha, beta), n_max, 1.0, n_min)
     pairs = _PairSum((alpha, beta))
     weights = pairs.envelope_weights(include_interference)
-
-    def deriv(x: float) -> float:
-        return float(pairs.slope(x, weights))
-
     sign = np.sign(pairs.slope(grid, weights))
-    roots = [brentq(deriv, grid[i], grid[i + 1], xtol=EXTREMA_XTOL)
-             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
-    return np.sort(np.concatenate([grid[sign == 0.0], roots]))
+    left = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    lo, hi, rising = grid[left], grid[left + 1], sign[left] < 0.0
+    x, moving = 0.5 * (lo + hi), np.ones(left.size, dtype=bool)
+    for _ in range(EXTREMA_MAX_STEPS):
+        if not moving.any():
+            break
+        slope, curvature = pairs.slope_and_curvature(x, weights)
+        lo, hi = np.where((slope < 0.0) == rising, (x, hi), (lo, x))  # x before the zero: new lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - slope / curvature
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        moving, x = moving & (np.abs(new - x) > EXTREMA_XTOL), np.where(moving, new, x)
+    if moving.any():
+        raise RuntimeError(f"extrema near n {x[moving]} unresolved after {EXTREMA_MAX_STEPS} steps")
+    return np.sort(np.concatenate([grid[sign == 0.0], x]))
 
 
 def digamma(x: float) -> float:

@@ -419,7 +419,7 @@ class TestStepTable:
 
 
 class TestImportFootprint:
-    """Each command, in a fresh interpreter, loads no SciPy package it never calls.
+    """In a fresh interpreter, each command and the photon routines skip SciPy they never call.
 
     Only modules that ``import scipy.special`` leaves unloaded count: SciPy before 1.17
     imports ``scipy.linalg`` from ``scipy.special``, which multicat needs at import.
@@ -429,6 +429,13 @@ class TestImportFootprint:
     SCRIPT = ("import sys\nimport numpy, scipy.special\nbase = set(sys.modules)\n"
               "from multicat import cli\ncode = cli.main(sys.argv[2:])\n"
               "print(code, *sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
+    LIBRARY = ("import sys\nimport numpy, scipy.special\nbase = set(sys.modules)\n"
+               "from multicat import photon, states\nspec = states.preset('Y1')\n"
+               "nmax = states.min_fock_truncation(spec)\nphoton.qts_pnd(spec, nmax)\n"
+               "photon.qts_pnd_closed_form(4.0, 7.0, nmax)\n"
+               "for flag in (True, False):\n"
+               "    photon.envelope_extrema(4.0, 7.0, 0.0, float(nmax), flag)\n"
+               "print(*sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
 
     @pytest.mark.parametrize("argv, unused", [
         (["wigner", "--preset", "Y1"], DEFERRED),
@@ -439,15 +446,24 @@ class TestImportFootprint:
         (["well", "--preset", "odd-cat(3)", "--points", "2001"], ("scipy.interpolate",)),
     ], ids=["wigner", "marginals", "pnd", "envelope", "well"])
     def test_command_leaves_unused_scipy_unloaded(self, tmp_path, argv, unused):
+        proc = self.fresh(self.SCRIPT, ",".join(unused), *argv, "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"], f"loaded: {proc.stdout}"
+
+    def test_photon_routines_leave_deferred_scipy_unloaded(self):
+        # the distributions and the envelope extrema need scipy.special alone
+        proc = self.fresh(self.LIBRARY, ",".join(self.DEFERRED))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
+
+    @staticmethod
+    def fresh(script, *args):
+        """``script`` with ``args`` in a new interpreter that imports this tree's multicat."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, ",".join(unused), *argv, "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"], f"loaded: {proc.stdout}"
+        return subprocess.run([sys.executable, "-c", script, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestDeterminism:

@@ -7,6 +7,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from multicat import photon, states
@@ -314,6 +316,85 @@ class TestEnvelopeDerivative:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def bisection_extrema(a, b, top, include):
+    """Zeros of envelope_derivative on [0, top]: each unit-grid sign change bisected to 1e-12."""
+    slope = lambda n: photon.envelope_derivative(a, b, n, include)
+    signs = np.sign(slope(np.arange(top + 1.0)))
+    roots = []
+    for n in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+        lo, hi = float(n), float(n + 1)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(slope(mid)) == signs[n] else (lo, mid)
+        roots.append(0.5 * (lo + hi))
+    return signs, np.array(roots)
+
+
+class TestExtremaSolve:
+    """The vectorised Newton solve of ``envelope_extrema`` against sign changes and bisection."""
+
+    @given(a=st.floats(0.1, 9.0), b=st.floats(0.1, 9.0), include=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_roots_are_the_sign_changes(self, a, b, include):
+        top = math.ceil((max(a, b) + 5.0) ** 2)
+        got = photon.envelope_extrema(a, b, 0.0, float(top), include)
+        signs, want = bisection_extrema(a, b, top, include)
+        for r in got:
+            below = photon.envelope_derivative(a, b, max(r - 1e-6, 0.0), include)
+            above = photon.envelope_derivative(a, b, r + 1e-6, include)
+            assert below * above < 0.0, f"extremum {r} is no sign change"
+        for n in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+            assert np.count_nonzero((n <= got) & (got <= n + 1)) == 1
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_min,n_max", [(10.0, 10.0), (0.5, 5.0)], ids=["one-point", "rising"])
+    def test_no_sign_change_gives_empty_float_array(self, n_min, n_max):
+        got = photon.envelope_extrema(4.0, 7.0, n_min, n_max)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_equal_amplitudes_give_the_poisson_maximum(self, include):
+        # one hump 4 T_aa either way; its top solves psi(n + 1) = ln a^2
+        (r,) = photon.envelope_extrema(2.0, 2.0, 0.0, 40.0, include)
+        assert special.digamma(r + 1.0) == pytest.approx(2.0 * math.log(2.0), abs=1e-10)
+        np.testing.assert_allclose(r, bisection_extrema(2.0, 2.0, 40, include)[1], atol=1e-9)
+
+    @pytest.mark.parametrize("curvature", ["exact", "nan"])
+    @pytest.mark.parametrize("name,include", sorted(TestEnvelopeDerivative.BISECTION_ROOTS))
+    def test_newton_steps_and_nan_fallback(self, monkeypatch, name, include, curvature):
+        # Newton takes 4 or 5 steps here (at most 8 on 600 random calls); a NaN curvature
+        # bisects every step, about 34 of them to halve a unit bracket to EXTREMA_XTOL
+        solve, steps = photon._PairSum.slope_and_curvature, []
+
+        def traced(self, ns, weights):
+            steps.append(1)
+            slope, second = solve(self, ns, weights)
+            return slope, second if curvature == "exact" else np.full_like(second, math.nan)
+
+        monkeypatch.setattr(photon._PairSum, "slope_and_curvature", traced)
+        got = photon.envelope_extrema(*CASES[name], 0.5, 120.0, include)
+        np.testing.assert_allclose(got, TestEnvelopeDerivative.BISECTION_ROOTS[(name, include)],
+                                   rtol=0.0, atol=1e-9)
+        assert len(steps) <= 6 if curvature == "exact" else 30 <= len(steps) <= photon.EXTREMA_MAX_STEPS
+
+    def test_unresolved_zero_raises(self, monkeypatch):
+        monkeypatch.setattr(photon, "EXTREMA_MAX_STEPS", 2)
+        with pytest.raises(RuntimeError, match="unresolved after 2 steps"):
+            photon.envelope_extrema(4.0, 7.0, 0.5, 120.0)
+
+    @pytest.mark.parametrize("include", [True, False])
+    @pytest.mark.parametrize("name", ["Y1", "Y2", "Y3"])
+    def test_curvature_matches_central_differences(self, name, include):
+        pairs = photon._PairSum(CASES[name])
+        weights = pairs.envelope_weights(include)
+        ns, h = np.arange(0.5, 120.0, 0.75), 1e-5
+        slope, curvature = pairs.slope_and_curvature(ns, weights)
+        np.testing.assert_array_equal(slope, pairs.slope(ns, weights))
+        fd = (pairs.slope(ns + h, weights) - pairs.slope(ns - h, weights)) / (2.0 * h)
+        assert np.max(np.abs(curvature - fd)) <= 1e-8 * np.max(np.abs(curvature))
 
 
 def pair_spec(mags, coeffs, parity):
