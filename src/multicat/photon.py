@@ -236,9 +236,10 @@ def envelope_extrema(alpha: float, beta: float, n_min: float, n_max: float,
 
     Exact zeros on a unit-step grid are kept, and all its sign changes are refined
     at once from their midpoints: Newton steps (psi' = zeta(2, n+1)) inside each
-    shrinking closed bracket, bisection where a step leaves it or is NaN, until each
-    step is at most EXTREMA_XTOL (RuntimeError after EXTREMA_MAX_STEPS).  Bounds other
-    than finite 0 <= n_min <= n_max, or past ``photon_grid``'s cap, raise ValueError.
+    shrinking closed bracket, bisection where a step leaves it or is NaN, until each step
+    is at most EXTREMA_XTOL or 4 float64 spacings of n, the larger (RuntimeError after
+    EXTREMA_MAX_STEPS); near n = 9e6 round-off blurs the zero over about +-1e-4.
+    Bounds other than finite 0 <= n_min <= n_max, or past ``photon_grid``'s cap, raise ValueError.
     """
     grid = photon_grid(max(alpha, beta), n_max, 1.0, n_min)
     pairs = _PairSum((alpha, beta))
@@ -247,6 +248,7 @@ def envelope_extrema(alpha: float, beta: float, n_min: float, n_max: float,
     left = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     lo, hi, rising = grid[left], grid[left + 1], sign[left] < 0.0
     x, moving = 0.5 * (lo + hi), np.ones(left.size, dtype=bool)
+    tol = np.maximum(EXTREMA_XTOL, 4.0 * np.spacing(hi))  # float64 resolves no finer at large n
     for _ in range(EXTREMA_MAX_STEPS):
         if not moving.any():
             break
@@ -255,7 +257,7 @@ def envelope_extrema(alpha: float, beta: float, n_min: float, n_max: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - slope / curvature
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        moving, x = moving & (np.abs(new - x) > EXTREMA_XTOL), np.where(moving, new, x)
+        moving, x = moving & (np.abs(new - x) > tol), np.where(moving, new, x)
     if moving.any():
         raise RuntimeError(f"extrema near n {x[moving]} unresolved after {EXTREMA_MAX_STEPS} steps")
     return np.sort(np.concatenate([grid[sign == 0.0], x]))

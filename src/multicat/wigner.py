@@ -165,9 +165,10 @@ def wigner_numeric(
 ) -> WignerField:
     """Wigner transform of a sampled wavefunction by direct quadrature.
 
-    ``psi`` must be real and sampled on strictly increasing ``xs`` (ValueError
-    otherwise), decayed below BOUNDARY_DECAY of its peak at both ends (else
-    ValueError: domain too small).  A real ``psi`` makes P(q, x) = psi(q + x/2)
+    ``psi`` must be real, finite and sampled on finite, strictly increasing ``xs``
+    (ValueError otherwise), decayed below BOUNDARY_DECAY of its peak at both ends
+    (else ValueError: domain too small); between samples it is the not-a-knot cubic
+    spline, its slopes one LAPACK gtsv solve.  A real ``psi`` makes P(q, x) = psi(q + x/2)
     psi(q - x/2) even in x, so W = (1/pi) Int_0^oo cos(px) P dx, by the
     trapezoidal rule on nodes k hx.  P vanishes once q +- x/2 leaves ``xs``, so
     the nodes stop at k = m = ceil(2 R / hx), R the largest distance from a
@@ -185,8 +186,6 @@ def wigner_numeric(
     and the rest copied.  Each mirror is ``states.mirrored``'s, at round-off.
     Warns ``mass deficit``.
     """
-    from scipy.interpolate import CubicSpline  # on use: import multicat skips it (~0.08 s)
-
     if np.iscomplexobj(psi):
         raise ValueError("psi must be real: the quadrature assumes a real wavefunction sample")
     xs = np.asarray(xs, dtype=float)
@@ -197,7 +196,7 @@ def wigner_numeric(
         raise ValueError("domain too small: psi has not decayed at the boundary")
     if not 0 < x_step < math.inf:
         raise ValueError("x_step must be positive and finite")
-    interp = CubicSpline(xs, psi, extrapolate=False)  # refuses xs that do not increase
+    interp = _not_a_knot(xs, psi)
     # every spline argument q_i +- x_k/2 lies on one lattice q_min + j eps: dq = a eps and
     # hx = 2 b eps <= x_step, a <= 3 ceil(2 dq / x_step).  Take the longest hx that is not within
     # 0.2 of a whole number of sample spacings, where the nodes meet the spline's error at one
@@ -218,7 +217,7 @@ def wigner_numeric(
     trap_w = np.full(m + 1, 2.0 * hx)  # folded trapezoid
     trap_w[0] = hx
     lattice = grid.q_min + eps * np.arange(-m * b, (grid.nq - 1) * a + m * b + 1)
-    f = np.nan_to_num(interp(lattice), nan=0.0, copy=False)
+    f = interp(lattice)
     # strided views: up[i, k] and down[i, k] are the samples at q_i + x_k/2 and q_i - x_k/2
     up = as_strided(f[m * b :], (grid.nq, m + 1), (a * f.itemsize, b * f.itemsize), writeable=False)
     down = as_strided(f[m * b :], (grid.nq, m + 1), (a * f.itemsize, -b * f.itemsize),
@@ -255,6 +254,40 @@ def wigner_numeric(
     w[rows:] = w[: grid.nq - rows][::-1]
     w /= 2.0 * math.pi
     return _checked_field(grid, w)
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray):
+    """Not-a-knot cubic spline through (x, y), x.size >= 4, as a function that is 0 outside x.
+
+    SciPy's ``CubicSpline`` arithmetic, operation for operation: one LAPACK gtsv for the
+    knot slopes, each interval's Hermite cubic summed as PPoly sums it.  ValueError on
+    non-finite samples, x not strictly increasing or a singular system.
+    """
+    from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it (SciPy 1.17+)
+
+    dx = np.diff(x)
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.all(dx > 0.0)):
+        raise ValueError("spline samples must be finite, on strictly increasing xs")
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]]
+    rhs = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+                3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    (gtsv,) = get_lapack_funcs(("gtsv",), (diag, rhs))
+    *_, s, info = gtsv(np.r_[dx[1:], d1], diag, np.r_[d0, dx[:-1]], rhs)
+    if info != 0:
+        raise ValueError(f"spline system singular: gtsv info {info}")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1 = t / dx, (slope - s[:-1]) / dx - t
+
+    def spline(u: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(x, u, side="right") - 1, x.size - 2)  # x[i] <= u < x[i+1]
+        v = u - x[i]
+        f = y[i] + s[i] * v + c1[i] * (v * v) + c0[i] * (v * v * v)
+        return np.where((x[0] <= u) & (u <= x[-1]), f, 0.0)
+
+    return spline
 
 
 def _checked_field(grid: PhaseSpaceGrid, w: np.ndarray) -> WignerField:

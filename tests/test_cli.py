@@ -436,13 +436,19 @@ class TestImportFootprint:
                "for flag in (True, False):\n"
                "    photon.envelope_extrema(4.0, 7.0, 0.0, float(nmax), flag)\n"
                "print(*sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
+    ORACLE = ("import sys\nimport numpy, scipy.special\nbase = set(sys.modules)\n"
+              "from multicat import states, wigner\nspec = states.preset('Y1')\n"
+              "xs = numpy.linspace(-13.0, 13.0, 2001)\n"
+              "psi = states.position_wavefunction(spec, xs)\n"
+              "wigner.wigner_numeric(xs, psi, wigner.default_grid(spec, 61, 161))\n"
+              "print(*sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
 
     @pytest.mark.parametrize("argv, unused", [
         (["wigner", "--preset", "Y1"], DEFERRED),
         (["marginals", "--preset", "Y1"], DEFERRED),
         (["pnd", "--preset", "Y1"], DEFERRED),
         (["envelope", "--preset", "Y1"], DEFERRED),
-        # the well solve needs scipy.optimize and scipy.linalg, not the spline
+        # the well solve needs scipy.optimize and scipy.linalg; nothing loads scipy.interpolate
         (["well", "--preset", "odd-cat(3)", "--points", "2001"], ("scipy.interpolate",)),
     ], ids=["wigner", "marginals", "pnd", "envelope", "well"])
     def test_command_leaves_unused_scipy_unloaded(self, tmp_path, argv, unused):
@@ -453,6 +459,12 @@ class TestImportFootprint:
     def test_photon_routines_leave_deferred_scipy_unloaded(self):
         # the distributions and the envelope extrema need scipy.special alone
         proc = self.fresh(self.LIBRARY, ",".join(self.DEFERRED))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
+
+    def test_wigner_numeric_leaves_interpolate_and_optimize_unloaded(self):
+        # the spline is one LAPACK gtsv solve from scipy.linalg
+        proc = self.fresh(self.ORACLE, "scipy.interpolate,scipy.optimize")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
 

@@ -362,6 +362,20 @@ class TestExtremaSolve:
         assert special.digamma(r + 1.0) == pytest.approx(2.0 * math.log(2.0), abs=1e-10)
         np.testing.assert_allclose(r, bisection_extrema(2.0, 2.0, 40, include)[1], atol=1e-9)
 
+    @pytest.mark.parametrize("a", [2000.0, 3000.0])
+    def test_large_n_stops_at_the_float_spacing(self, a):
+        # near n = 4e6 and 9e6 no float64 step is as small as EXTREMA_XTOL: the solve stops
+        # at four spacings of n instead of raising after EXTREMA_MAX_STEPS
+        got = photon.envelope_extrema(a, a + 3.0, (a - 5.0) ** 2, (a + 8.0) ** 2)
+        grid = np.arange((a - 5.0) ** 2, (a + 8.0) ** 2 + 1.0)
+        signs = np.sign(photon.envelope_derivative(a, a + 3.0, grid))
+        left = grid[np.flatnonzero(signs[:-1] * signs[1:] < 0.0)]
+        assert got.size == left.size == 3
+        assert np.all((left <= got) & (got <= left + 1.0))
+        for r in got:  # a sign change past the slope's noise of about 1e-4
+            below, above = (photon.envelope_derivative(a, a + 3.0, r + d) for d in (-1e-3, 1e-3))
+            assert below * above < 0.0
+
     @pytest.mark.parametrize("curvature", ["exact", "nan"])
     @pytest.mark.parametrize("name,include", sorted(TestEnvelopeDerivative.BISECTION_ROOTS))
     def test_newton_steps_and_nan_fallback(self, monkeypatch, name, include, curvature):

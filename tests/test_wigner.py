@@ -387,6 +387,15 @@ class TestNumericTransform:
         with pytest.raises(ValueError, match="strictly increasing"):
             wigner.wigner_numeric(xs, psi, grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["xs", "psi"])
+    def test_non_finite_samples_rejected(self, where, bad):
+        xs, psi = (a.copy() for a in sampled_wavefunction(states.preset("Y3"), n=2001))
+        (xs if where == "xs" else psi)[1000] = bad
+        grid = wigner.PhaseSpaceGrid(-8.0, 8.0, -4.0, 4.0, 21, 21)
+        with pytest.raises(ValueError, match="finite"):
+            wigner.wigner_numeric(xs, psi, grid)
+
     def test_undecayed_boundary_rejected(self):
         spec = states.preset("Y1")
         xs = np.linspace(-7.0, 7.0, 2001)  # cuts through the outer humps
@@ -434,6 +443,45 @@ class TestNumericTransform:
             fld = wigner.wigner_numeric(xs, psi, grid)
         assert fld.mass_deficit
         assert fld.mass == pytest.approx(0.489, abs=1e-3)
+
+
+def spline_grid(kind, n, rng):
+    """Strictly increasing samples: uniform, sinh-stretched or at random spacings."""
+    if kind == "uniform":
+        return np.linspace(-9.0, 9.0, n)
+    if kind == "sinh":
+        return 12.0 * np.sinh(2.0 * np.linspace(-1.0, 1.0, n)) / math.sinh(2.0)
+    return np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.25 * n
+
+
+class TestNotAKnot:
+    """``wigner._not_a_knot`` against SciPy's ``CubicSpline(..., extrapolate=False)``, NaN as 0."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 60, 2001, 6501])
+    @pytest.mark.parametrize("kind", ["uniform", "sinh", "random"])
+    def test_matches_cubic_spline(self, kind, n):
+        rng = np.random.default_rng(n)
+        x = spline_grid(kind, n, rng)
+        y = np.exp(-0.1 * x * x) * np.cos(2.0 * x) + rng.normal(0.0, 0.01, n)
+        ends = np.r_[x[0], x[-1], np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]
+        u = np.r_[rng.uniform(x[0] - 1.0, x[-1] + 1.0, 4000), x, ends]
+        want = np.nan_to_num(CubicSpline(x, y, extrapolate=False)(u), nan=0.0)
+        got = wigner._not_a_knot(x, y)(u)
+        # SciPy's own operations, bit-equal on SciPy 1.17; the bound allows another ordering
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(y))
+        assert np.all(got[(u < x[0]) | (u > x[-1])] == 0.0)
+        # at a knot left of the last, u - x[i] is 0 and the value is the sample itself
+        assert np.array_equal(got[4000 : 4000 + n - 1], y[:-1])
+
+    def test_singular_system_rejected(self, monkeypatch):
+        import scipy.linalg
+
+        def gtsv(dl, d, du, b):
+            return dl, d, du, b, 2  # LAPACK's info: a zero pivot in row 2
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (gtsv,))
+        with pytest.raises(ValueError, match="singular"):
+            wigner._not_a_knot(np.arange(5.0), np.ones(5))
 
 
 class TestBlockedTransform:
