@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .states import SuperpositionSpec, fock_amplitudes, photon_grid, readonly
 
@@ -110,6 +109,8 @@ class _PairSum:
 
     def terms(self, ns) -> np.ndarray:
         """T at photon numbers ``ns``, one row per pair on the last axis."""
+        import scipy.special as special  # on use: import multicat loads NumPy alone
+
         ns = np.asarray(ns, dtype=float)[..., None]
         return np.exp(self.log_scale + special.xlogy(ns, self.product) - special.gammaln(ns + 1.0))
 
@@ -119,11 +120,15 @@ class _PairSum:
 
     def slope(self, ns, weights) -> np.ndarray:
         """d/dn of ``value``: d(x^n)/dn = x^n ln x and dGamma(n+1)/dn via digamma."""
+        import scipy.special as special  # on use: import multicat loads NumPy alone
+
         psi = special.digamma(np.asarray(ns, dtype=float) + 1.0)[..., None]
         return self.scale * ((self.terms(ns) * (np.log(self.product) - psi)) @ weights)
 
     def slope_and_curvature(self, ns, weights) -> tuple:
         """``slope`` and its d/dn, (2/N) sum_r w_r T_r ((ln x_r - psi)^2 - psi'), from one T."""
+        import scipy.special as special  # on use: import multicat loads NumPy alone
+
         t, d = self.terms(ns), np.log(self.product) - special.digamma(ns + 1.0)[..., None]
         psi1 = special.zeta(2.0, ns + 1.0)[..., None]  # psi'(n+1); polygamma(1, .) is 6x slower
         return self.scale * ((t * d) @ weights), self.scale * ((t * (d * d - psi1)) @ weights)
@@ -268,6 +273,8 @@ def digamma(x: float) -> float:
 
     Nonpositive or non-finite x raises ValueError.
     """
+    import scipy.special as special  # on use: import multicat loads NumPy alone
+
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"digamma: argument {x} outside supported domain (x > 0)")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 __all__ = [
     "SuperpositionSpec",
@@ -235,6 +234,8 @@ def fock_amplitudes(spec: SuperpositionSpec, nmax: int) -> FockExpansion:
     ``MAX_FOCK_ROWS`` rows and a sum that cancels so far that the captured
     mass misses one by more than ``TRUNCATION_TOLERANCE``.
     """
+    from scipy.special import gammaln, xlogy  # on use: import multicat loads NumPy alone
+
     floor = min_fock_truncation(spec)
     if not isinstance(nmax, (int, np.integer)):
         raise ValueError(f"nmax must be an integer of at least {floor}, got {nmax!r}")

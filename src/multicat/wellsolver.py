@@ -209,7 +209,7 @@ def ground_state(
     steps, or a residual above tol plus the fold's mirror mismatch raise
     LinAlgError.  It records its steps and residual.
     """
-    from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it (SciPy 1.17+)
+    from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it
 
     xs = cfg.xs()
     v_samples = np.asarray(v_samples, dtype=float)

@@ -263,7 +263,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray):
     knot slopes, each interval's Hermite cubic summed as PPoly sums it.  ValueError on
     non-finite samples, x not strictly increasing or a singular system.
     """
-    from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it (SciPy 1.17+)
+    from scipy.linalg import get_lapack_funcs  # on use: import multicat skips it
 
     dx = np.diff(x)
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.all(dx > 0.0)):

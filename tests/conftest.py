@@ -8,9 +8,14 @@ example database, and runs each property test on EXPLORE_FACTOR times its own
 ``max_examples``, with the same bounds.  Both start from Hypothesis' built-in
 ``default`` profile, so a CI runner (where Hypothesis would load its ``ci``
 profile) runs the same settings as a workstation.
+
+multicat imports ``scipy.special`` inside the routines that call it.  The test
+process imports it here, once, so that no property test pays that first import
+(about 0.2 s) inside its 200 ms Hypothesis deadline.
 """
 
 import pytest
+import scipy.special  # noqa: F401
 from hypothesis import is_hypothesis_test, settings
 
 #: Multiplier on each property test's ``max_examples`` under the ``explore`` profile.

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from pathlib import Path
 
@@ -419,13 +420,25 @@ class TestStepTable:
 
 
 class TestImportFootprint:
-    """In a fresh interpreter, each command and the photon routines skip SciPy they never call.
+    """In a fresh interpreter, each command and library routine skips SciPy it never calls.
 
-    Only modules that ``import scipy.special`` leaves unloaded count: SciPy before 1.17
-    imports ``scipy.linalg`` from ``scipy.special``, which multicat needs at import.
+    ``import multicat``, ``wigner`` and ``marginals`` load no SciPy module beyond
+    ``import numpy``.  The photon routines load ``scipy.special`` and nothing that it
+    leaves unloaded.  The Wigner fields load no ``scipy.special`` beyond what
+    ``scipy.linalg`` itself loads: SciPy before 1.17 imports one from the other.
+    The interpreters of every case start together, in one class-scoped fixture.
     """
 
     DEFERRED = ("scipy.optimize", "scipy.interpolate", "scipy.linalg")
+    COMMANDS = {
+        "wigner": (["wigner", "--preset", "Y1"], DEFERRED),
+        "marginals": (["marginals", "--preset", "Y1"], DEFERRED),
+        "pnd": (["pnd", "--preset", "Y1"], DEFERRED),
+        "envelope": (["envelope", "--preset", "Y1"], DEFERRED),
+        # the well solve needs scipy.optimize and scipy.linalg; nothing loads scipy.interpolate
+        "well": (["well", "--preset", "odd-cat(3)", "--points", "2001"], ("scipy.interpolate",)),
+    }
+    NUMPY_ONLY = ("wigner", "marginals")
     SCRIPT = ("import sys\nimport numpy, scipy.special\nbase = set(sys.modules)\n"
               "from multicat import cli\ncode = cli.main(sys.argv[2:])\n"
               "print(code, *sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
@@ -442,29 +455,66 @@ class TestImportFootprint:
               "psi = states.position_wavefunction(spec, xs)\n"
               "wigner.wigner_numeric(xs, psi, wigner.default_grid(spec, 61, 161))\n"
               "print(*sorted(set(sys.argv[1].split(',')) & (set(sys.modules) - base)))")
+    # the scripts below count every new module in the package sys.argv[1] or below it
+    NEW = "sorted(m for m in set(sys.modules) - base if (m + '.').startswith(sys.argv[1] + '.'))"
+    PACKAGE = f"import sys\nimport numpy\nbase = set(sys.modules)\nimport multicat\nprint(*{NEW})"
+    BARE_SCRIPT = ("import sys\nimport numpy\nbase = set(sys.modules)\n"
+                   f"from multicat import cli\ncode = cli.main(sys.argv[2:])\nprint(code, *{NEW})")
+    FIELDS = ("import sys\nimport numpy, scipy.linalg\nbase = set(sys.modules)\n"
+              "from multicat import states, wigner\nspec = states.preset('Y1')\n"
+              "xs = numpy.linspace(-13.0, 13.0, 2001)\n"
+              "psi = states.position_wavefunction(spec, xs)\n"
+              "grid = wigner.default_grid(spec, 61, 161)\n"
+              "wigner.wigner_numeric(xs, psi, grid)\nwigner.wigner_closed_form(spec, grid)\n"
+              f"print(*{NEW})")
 
-    @pytest.mark.parametrize("argv, unused", [
-        (["wigner", "--preset", "Y1"], DEFERRED),
-        (["marginals", "--preset", "Y1"], DEFERRED),
-        (["pnd", "--preset", "Y1"], DEFERRED),
-        (["envelope", "--preset", "Y1"], DEFERRED),
-        # the well solve needs scipy.optimize and scipy.linalg; nothing loads scipy.interpolate
-        (["well", "--preset", "odd-cat(3)", "--points", "2001"], ("scipy.interpolate",)),
-    ], ids=["wigner", "marginals", "pnd", "envelope", "well"])
-    def test_command_leaves_unused_scipy_unloaded(self, tmp_path, argv, unused):
-        proc = self.fresh(self.SCRIPT, ",".join(unused), *argv, "--out", str(tmp_path))
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Every case's fresh interpreter, at most one per core at a time, by case name."""
+        out = tmp_path_factory.mktemp("footprint")
+        cases = {name: (self.SCRIPT, ",".join(unused), *argv, "--out", str(out / name))
+                 for name, (argv, unused) in self.COMMANDS.items()}
+        cases.update({f"bare-{name}": (self.BARE_SCRIPT, "scipy", *self.COMMANDS[name][0],
+                                       "--out", str(out / f"bare-{name}"))
+                      for name in self.NUMPY_ONLY})
+        cases.update(library=(self.LIBRARY, ",".join(self.DEFERRED)),
+                     oracle=(self.ORACLE, "scipy.interpolate,scipy.optimize"),
+                     package=(self.PACKAGE, "scipy"), fields=(self.FIELDS, "scipy.special"))
+        with ThreadPoolExecutor(min(len(cases), os.cpu_count() or 1)) as pool:
+            return dict(zip(cases, pool.map(lambda args: self.fresh(*args), cases.values())))
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_leaves_unused_scipy_unloaded(self, runs, name):
+        proc = runs[name]
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"], f"loaded: {proc.stdout}"
 
-    def test_photon_routines_leave_deferred_scipy_unloaded(self):
+    def test_photon_routines_leave_deferred_scipy_unloaded(self, runs):
         # the distributions and the envelope extrema need scipy.special alone
-        proc = self.fresh(self.LIBRARY, ",".join(self.DEFERRED))
+        proc = runs["library"]
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
 
-    def test_wigner_numeric_leaves_interpolate_and_optimize_unloaded(self):
+    def test_wigner_numeric_leaves_interpolate_and_optimize_unloaded(self, runs):
         # the spline is one LAPACK gtsv solve from scipy.linalg
-        proc = self.fresh(self.ORACLE, "scipy.interpolate,scipy.optimize")
+        proc = runs["oracle"]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
+
+    def test_import_loads_numpy_alone(self, runs):
+        proc = runs["package"]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
+
+    @pytest.mark.parametrize("name", NUMPY_ONLY)
+    def test_command_loads_no_scipy(self, runs, name):
+        proc = runs[f"bare-{name}"]
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"], f"loaded: {proc.stdout}"
+
+    def test_wigner_fields_leave_special_unloaded(self, runs):
+        # neither the closed form nor the quadrature calls a special function
+        proc = runs["fields"]
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [], f"loaded: {proc.stdout}"
 
